@@ -15,7 +15,7 @@ print()
 
 print("Gauss sums of the real primitive characters:")
 for chi in (chi3, chi4):
-    g = lz.gauss_sum(chi.conjugate()).value
+    g = lz.gauss_sum(chi.conjugate())
     print(f"  {chi.label}: G = {g:.12f}, |G| = {abs(g):.12f} (sqrt(q) = "
           f"{math.sqrt(chi.q):.12f})")
 print()

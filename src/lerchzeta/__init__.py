@@ -13,42 +13,38 @@ from .evaluate import (EvalResult, Method, QuadConfig, evaluate, hurwitz_em,
 from .functional_eq import (FESumConfig, phi_fe_rhs, verify_kernel_expansion_z1,
                             verify_kernel_expansion_zne1,
                             verify_mellin_identity, zeta_fe_rhs)
-from .identities import (CharacterTable, GaussSum, SixRelationsReport,
+from .identities import (CharacterTable, SixRelationsReport,
                          builtin_characters, dirichlet_L, dirichlet_L_series,
                          gauss_sum, hurwitz_from_lerch, lerch_from_hurwitz,
                          load_character_csv, polylog_series,
                          verify_six_relations)
-from .kernels import (KernelEval, ParamPoint, case3_kernels, kernel_G,
-                      kernel_G_eval, kernel_Gz, kernel_Gz_eval, kernel_H,
-                      kernel_H_eval, sign_fn_g)
+from .kernels import case3_kernels, kernel_G, kernel_Gz, kernel_H, sign_fn_g
 from .quadrature import QuadResult, exp_sinh, tanh_sinh
 from .special import (BernoulliTable, bernoulli_number, bernoulli_numbers,
                       bernoulli_poly, complex_pow, gamma_real, principal_log)
 from .verify import CheckResult, run_suite, suite_names
 from .zeros import (B2_ROOT_LOWER, B2_ROOT_UPPER, Region, RegionVerdict,
-                    ZeroReport, check_case3, classify, scan_zeros,
-                    verify_sign_constancy)
+                    ZeroReport, check_case3, classify, scan_zeros)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "B2_ROOT_LOWER", "B2_ROOT_UPPER", "BernoulliTable", "CharacterTable",
     "CheckResult", "ConditioningError", "DegreeOverflowError", "DomainError",
-    "EvalResult", "FESumConfig", "GaussSum", "KernelEval", "LerchZetaError",
-    "Method", "ParamPoint", "PoleError", "QuadConfig", "QuadResult", "Region",
-    "RegionVerdict", "SeriesDivergenceError", "SignConstancyError",
-    "SixRelationsReport", "WrongPathError", "ZeroReport",
+    "EvalResult", "FESumConfig", "LerchZetaError", "Method", "PoleError",
+    "QuadConfig", "QuadResult", "Region", "RegionVerdict",
+    "SeriesDivergenceError", "SignConstancyError", "SixRelationsReport",
+    "WrongPathError", "ZeroReport",
     "bernoulli_number", "bernoulli_numbers", "bernoulli_poly",
     "builtin_characters", "case3_kernels", "check_case3", "classify",
     "complex_pow", "dirichlet_L", "dirichlet_L_series", "evaluate",
     "exp_sinh", "gamma_real", "gauss_sum", "hurwitz_em", "hurwitz_from_lerch",
     "hurwitz_integral_neg", "hurwitz_integral_pos", "kernel_G",
-    "kernel_G_eval", "kernel_Gz", "kernel_Gz_eval", "kernel_H",
-    "kernel_H_eval", "lerch_from_hurwitz", "load_character_csv",
+    "kernel_Gz", "kernel_H", "lerch_from_hurwitz", "load_character_csv",
     "phi_fe_rhs", "phi_integral_neg", "phi_integral_pos", "phi_series",
     "polylog_series", "principal_log", "run_suite", "scan_zeros",
     "sign_fn_g", "special_value", "suite_names", "tanh_sinh",
     "verify_kernel_expansion_z1", "verify_kernel_expansion_zne1",
-    "verify_mellin_identity", "verify_sign_constancy", "verify_six_relations",
+    "verify_mellin_identity", "verify_six_relations",
     "zeta_fe_rhs",
 ]

@@ -15,28 +15,26 @@ z arguments accept a complex literal ("1", "-1", "0.5+0.5j", "i" works too)
 or "unit:<theta>" for e^{i theta}; the scan's --z additionally accepts a
 comma-separated list of reals.  Exit codes: 0 success, 1 check failure,
 2 usage or domain error.  An optional key=value config file supplies
-quadrature and functional-equation-sum overrides (command-line flags win);
-LERCH_THREADS caps the scan's worker threads.  Diagnostics go to stderr.
+quadrature (max_levels, tol) and functional-equation-sum (n_max,
+tail_depth) overrides; command-line flags win and any other key is a usage
+error.  `--method integral` runs the kernel integral for the given sigma
+and z.  Diagnostics go to stderr.
 """
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .errors import LerchZetaError
-from .evaluate import (QuadConfig, evaluate, hurwitz_em, hurwitz_integral_neg,
-                       hurwitz_integral_pos, phi_integral_neg, phi_integral_pos,
-                       phi_series)
+from .evaluate import QuadConfig, _mellin, evaluate, hurwitz_em, phi_series
 from .functional_eq import FESumConfig, phi_fe_rhs, zeta_fe_rhs
 from .verify import run_suite, suite_names
 from .zeros import classify, scan_zeros
 
 _SCAN_HEADER = "a,z_re,z_im,verdict,n_brackets,roots,max_residual"
+_CONFIG_KEYS = ("max_levels", "tol", "n_max", "tail_depth")
 
 
 def _fmt(x: float) -> str:
@@ -79,12 +77,12 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 def _build_configs(overrides: dict[str, str],
                    tol_flag: float | None) -> tuple[QuadConfig, FESumConfig]:
+    for key in overrides:
+        if key not in _CONFIG_KEYS:
+            raise LerchZetaError(f"unknown config key {key!r}; known keys: "
+                                 + ", ".join(_CONFIG_KEYS))
     quad = QuadConfig()
     fe = FESumConfig()
-    if "split_point" in overrides:
-        quad = replace(quad, split_point=float(overrides["split_point"]))
-    if "tail_cutoff" in overrides:
-        quad = replace(quad, tail_cutoff=float(overrides["tail_cutoff"]))
     if "max_levels" in overrides:
         quad = replace(quad, max_levels=int(overrides["max_levels"]))
     if "tol" in overrides:
@@ -93,9 +91,6 @@ def _build_configs(overrides: dict[str, str],
         fe = replace(fe, n_max=int(overrides["n_max"]))
     if "tail_depth" in overrides:
         fe = replace(fe, tail_depth=int(overrides["tail_depth"]))
-    if "use_tail_correction" in overrides:
-        fe = replace(fe, use_tail_correction=(
-            overrides["use_tail_correction"].lower() in ("1", "true", "yes")))
     if tol_flag is not None:   # flags win over the config file
         quad = replace(quad, tol=tol_flag)
     return quad, fe
@@ -115,12 +110,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     elif method == "series":
         res = phi_series(sigma, a, z, tol=quad.tol)
     elif method == "integral":
-        if z == 1:
-            res = (hurwitz_integral_pos(sigma, a, quad) if sigma > 0.0
-                   else hurwitz_integral_neg(sigma, a, quad))
-        else:
-            res = (phi_integral_pos(sigma, a, z, quad) if sigma > 0.0
-                   else phi_integral_neg(sigma, a, z, quad))
+        res = _mellin(sigma, a, z, quad)
     elif method == "fe":
         res = (zeta_fe_rhs(sigma, a, fe_cfg) if z == 1
                else phi_fe_rhs(sigma, a, z, fe_cfg))
@@ -157,22 +147,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     while a <= args.a_max + 1e-12:
         a_values.append(round(a, 12))
         a += args.a_step
-    cells = [(a, z) for a in a_values for z in z_list]
-    workers = min(4, os.cpu_count() or 1)
-    env_cap = os.environ.get("LERCH_THREADS")
-    if env_cap:
-        workers = max(1, min(workers, int(env_cap)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda cell: _scan_cell(cell[0], cell[1], args.grid_step,
-                                        args.tol, quad), cells))
-    else:
-        rows = [_scan_cell(a, z, args.grid_step, args.tol, quad)
-                for a, z in cells]
-    rows.sort(key=lambda line: (float(line.split(",")[0]),
-                                float(line.split(",")[1]),
-                                float(line.split(",")[2])))
+    cells = sorted(((a, z) for a in a_values for z in z_list),
+                   key=lambda cell: (cell[0], cell[1].real, cell[1].imag))
+    rows = [_scan_cell(a, z, args.grid_step, args.tol, quad) for a, z in cells]
     try:
         with open(args.out, "w") as fh:
             fh.write(_SCAN_HEADER + "\n")

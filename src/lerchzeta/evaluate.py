@@ -18,18 +18,20 @@ Routes:
                              quadrature, used for cross-validation.
   * evaluate              -- dispatcher over all of the above.
 
-Quadrature layout for the integral routes (split point s, default 1):
+The four integral routes check their own domain and share one core,
+_mellin, which evaluates Gamma(sigma) Phi = int_0^inf K(x) x^{sigma-1} dx
+with the kernel K picked from (z == 1, sign of sigma), split at x = 1:
 
-  int_0^s   near x = 0 the factor x^{sigma-1} is too singular for a binary64
+  int_0^1   near x = 0 the factor x^{sigma-1} is too singular for a binary64
             node ladder when sigma approaches 0 or -1, so the leading piece
-            int_0^delta kernel * x^{sigma-1} dx is summed analytically term by
+            int_0^delta K x^{sigma-1} dx is summed analytically term by
             term from the kernel's power series (exact integrals of
-            c_k x^{k+sigma-1}); the remainder [delta, s] goes to tanh-sinh.
-  int_s^inf the exponentially decaying part e^{-ax}/(1 - z e^{-x}) goes to
+            c_k x^{k+sigma-1}); the remainder [delta, 1] goes to tanh-sinh.
+  int_1^inf the exponentially decaying part e^{-ax}/(1 - z e^{-x}) goes to
             exp-sinh; the algebraic parts of the kernels (1/x and the
             constants) are integrated in closed form:
-              int_s^inf x^{sigma-2} dx = s^{sigma-1}/(1-sigma)   (sigma < 1)
-              int_s^inf x^{sigma-1} dx = -s^sigma/sigma          (sigma < 0)
+              int_1^inf x^{sigma-2} dx = 1/(1-sigma)   (sigma < 1)
+              int_1^inf x^{sigma-1} dx = -1/sigma      (sigma < 0)
 
 Accumulation uses math.fsum for the handful of combined pieces and numpy's
 pairwise reduction inside the quadrature rules.
@@ -65,6 +67,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_SPLIT = 1.0                # int_0^inf is split here (the kernel analysis splits at 1)
 _HEAD_DELTA = 0.25          # head-series reach for the H/G kernels
 _HEAD_TERMS_GZ = 36         # Taylor terms for the G_z head
 _MIN_ONE_MINUS_Z = 1e-3     # conditioning cap on the integral paths
@@ -102,22 +105,14 @@ class EvalResult:
 class QuadConfig:
     """Quadrature knobs for the integral routes.
 
-    split_point  where int_0^inf is split (the kernel analysis splits at 1).
-    tail_cutoff  hard x-truncation of the upper integral; inf leaves the
-                 truncation to the double-exponential decay of the rule.
-                 Smaller values trade accuracy for time when a is tiny.
     max_levels   tanh-sinh / exp-sinh refinement cap (nodes ~ 2^levels).
     tol          absolute target for each evaluation.
     """
 
-    split_point: float = 1.0
-    tail_cutoff: float = math.inf
     max_levels: int = 11
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not self.split_point > 0:
-            raise DomainError("split_point must be positive")
         if not self.tol > 0:
             raise DomainError("tol must be positive")
         if self.max_levels < 4:
@@ -276,21 +271,86 @@ def hurwitz_em(sigma: float, a: float, n_terms: int = 24,
 
 
 # --------------------------------------------------------------------------
-# integral routes: zeta(sigma, a)
+# integral routes
 # --------------------------------------------------------------------------
 
-def _hg_head(sigma: float, a: float, delta: float, first_term: int
-             ) -> tuple[float, float]:
-    """int_0^delta kernel * x^{sigma-1} dx summed exactly from the Bernoulli
-    series; first_term = 1 for H, 2 for G (whose constant term vanishes)."""
-    coeffs = h_series_coeffs(a)
-    terms = [coeffs[n - 1] * delta ** (n - 1 + sigma) / (n - 1 + sigma)
-             for n in range(first_term, coeffs.size + 1)]
-    # |B_n(y)|/n! <= 2.01 (2pi)^{-n}: geometric truncation bound
-    ratio = delta / (2.0 * math.pi)
-    n_next = coeffs.size + 1
-    trunc = 2.01 * ratio ** n_next / delta * delta ** sigma / (1.0 - ratio)
-    return fsum(terms), trunc
+def _mellin(sigma: float, a: float, z: complex, cfg: QuadConfig) -> EvalResult:
+    """Phi(sigma, a, z) from Gamma(sigma) Phi = int_0^inf K(x) x^{sigma-1} dx
+    on -1 < sigma < 0 and on 0 < sigma (below 1 when z = 1).
+
+    K is e^{(1-a)x}/(e^x - z) less the algebraic part that the integral
+    cannot carry at x = 0: 1/x for z = 1, and for sigma < 0 also the
+    constant C = K(0+), which is 1/2 - a for z = 1 and 1/(1-z) otherwise.
+    That gives the kernels H (z = 1, sigma > 0), G (z = 1, sigma < 0), G_z
+    (z != 1, sigma < 0) and the bare e^{(1-a)x}/(e^x - z) (z != 1,
+    sigma > 0).  The subtracted parts come back in closed form over
+    [1, inf); the layout is the one in the module docstring.
+    """
+    a = _check_a(a)
+    z = _check_z(z)
+    top = 1.0 if z == 1 else math.inf
+    if not (-1.0 < sigma < 0.0 or 0.0 < sigma < top):
+        raise DomainError(f"the integral routes need sigma in (-1,0) u "
+                          f"(0,{top:g}) at z = {z}, got {sigma}")
+    if z != 1 and abs(1.0 - z) < _MIN_ONE_MINUS_Z:
+        raise ConditioningError(
+            f"|1 - z| = {abs(1.0 - z):.2e} < {_MIN_ONE_MINUS_Z}: the kernel "
+            "magnitude ~ 1/|1-z| makes the integral paths ill-conditioned")
+    neg = sigma < 0.0
+    real_z = z.imag == 0.0
+    zz: float | complex = z.real if real_z else z
+    s = _SPLIT
+    if z == 1:
+        const = 0.5 - a
+        delta = _HEAD_DELTA
+        # Bernoulli series of H; G drops its constant term B_1(1-a) = C
+        c = h_series_coeffs(a)
+        first = 1 if neg else 0
+        # |B_n(y)|/n! <= 2.01 (2pi)^{-n}: geometric truncation bound
+        ratio = delta / (2.0 * math.pi)
+        head_err = (2.01 * ratio ** (c.size + 1) / delta * delta ** sigma
+                    / (1.0 - ratio))
+        kernel = (lambda x: kernel_G(a, x)) if neg else (lambda x: kernel_H(a, x))
+        tail_den = lambda x: -np.expm1(-x)
+        corr = -s ** (sigma - 1.0) / (1.0 - sigma)   # the 1/x part
+    else:
+        const = 1.0 / (1.0 - z)
+        # keep the head strictly inside the Taylor radius |log z| of G_z
+        delta = min(_HEAD_DELTA, 0.35 * abs(np.log(complex(z))))
+        c = gz_taylor_coeffs(a, z, _HEAD_TERMS_GZ)
+        first = 1
+        head_err = 2.0 * abs(c[-1]) * delta ** (c.size - 1 + sigma)
+        if neg:
+            kernel = lambda x: kernel_Gz(a, zz, x)
+        else:   # G_z + C: nothing is subtracted
+            kernel = lambda x: np.exp((1.0 - a) * x) / (np.exp(x) - zz)
+        tail_den = lambda x: 1.0 - zz * np.exp(-x)
+        corr = 0.0
+    if neg:
+        corr += const * s ** sigma / sigma
+    # int_0^delta kernel * x^{sigma-1} dx, term by term from its power series
+    terms = [c[k] * delta ** (k + sigma) / (k + sigma)
+             for k in range(first, c.size)]
+    if z != 1 and not neg:
+        terms.append(const * delta ** sigma / sigma)
+    head = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
+    qtol = 0.25 * cfg.tol
+    mid = tanh_sinh(lambda x: kernel(x) * x ** (sigma - 1.0),
+                    delta, s, tol=qtol, max_levels=cfg.max_levels)
+    tail = exp_sinh(lambda x: np.exp((sigma - 1.0) * np.log(x) - a * x)
+                    / tail_den(x),
+                    s, tol=qtol, max_levels=cfg.max_levels)
+    pieces = (head, mid.value, tail.value, corr)
+    gam = gamma_real(sigma)
+    re = fsum(p.real for p in pieces) / gam
+    im = fsum(p.imag for p in pieces) / gam
+    value = complex(re, 0.0) if real_z else complex(re, im)
+    err = (head_err + mid.err + tail.err) / abs(gam) + 8.0 * _EPS * abs(value)
+    if z != 1 and _is_unit(z):
+        method = Method.INTEGRAL_UNIT
+    else:
+        method = Method.INTEGRAL_NEG if neg else Method.INTEGRAL_POS
+    return EvalResult(value, float(err), method)
 
 
 def hurwitz_integral_pos(sigma: float, a: float,
@@ -299,81 +359,17 @@ def hurwitz_integral_pos(sigma: float, a: float,
     sigma = float(sigma)
     if not 0.0 < sigma < 1.0:
         raise DomainError(f"hurwitz_integral_pos requires sigma in (0,1), got {sigma}")
-    a = _check_a(a)
-    cfg = cfg or _DEFAULT_CFG
-    s = cfg.split_point
-    delta = min(_HEAD_DELTA, 0.5 * s)
-    qtol = 0.25 * cfg.tol
-    head, head_err = _hg_head(sigma, a, delta, first_term=1)
-    mid = tanh_sinh(lambda x: kernel_H(a, x) * x ** (sigma - 1.0),
-                    delta, s, tol=qtol, max_levels=cfg.max_levels)
-    tail = exp_sinh(lambda x: np.exp((sigma - 1.0) * np.log(x) - a * x)
-                    / (-np.expm1(-x)),
-                    s, tol=qtol, max_levels=cfg.max_levels,
-                    x_cap=cfg.tail_cutoff)
-    corr = -s ** (sigma - 1.0) / (1.0 - sigma)
-    gam = gamma_real(sigma)
-    value = fsum([head, mid.value.real, tail.value.real, corr]) / gam
-    err = (head_err + mid.err + tail.err) / abs(gam) + 8.0 * _EPS * abs(value)
-    return EvalResult(complex(value, 0.0), err, Method.INTEGRAL_POS)
+    return _mellin(sigma, a, 1.0, cfg or _DEFAULT_CFG)
 
 
 def hurwitz_integral_neg(sigma: float, a: float,
                          cfg: QuadConfig | None = None) -> EvalResult:
-    """zeta(sigma,a) for -1 < sigma < 0 via the G-kernel integral.
-
-    The constant part (1/2 - a) of the kernel over [s, inf) contributes the
-    closed form (1/2 - a) s^sigma / sigma; the output is exactly real.
-    """
+    """zeta(sigma,a) for -1 < sigma < 0 via the G-kernel integral; the
+    output is exactly real."""
     sigma = float(sigma)
     if not -1.0 < sigma < 0.0:
         raise DomainError(f"hurwitz_integral_neg requires sigma in (-1,0), got {sigma}")
-    a = _check_a(a)
-    cfg = cfg or _DEFAULT_CFG
-    s = cfg.split_point
-    delta = min(_HEAD_DELTA, 0.5 * s)
-    qtol = 0.25 * cfg.tol
-    head, head_err = _hg_head(sigma, a, delta, first_term=2)
-    mid = tanh_sinh(lambda x: kernel_G(a, x) * x ** (sigma - 1.0),
-                    delta, s, tol=qtol, max_levels=cfg.max_levels)
-    tail = exp_sinh(lambda x: np.exp((sigma - 1.0) * np.log(x) - a * x)
-                    / (-np.expm1(-x)),
-                    s, tol=qtol, max_levels=cfg.max_levels,
-                    x_cap=cfg.tail_cutoff)
-    corr = -s ** (sigma - 1.0) / (1.0 - sigma) + (0.5 - a) * s ** sigma / sigma
-    gam = gamma_real(sigma)
-    value = fsum([head, mid.value.real, tail.value.real, corr]) / gam
-    err = (head_err + mid.err + tail.err) / abs(gam) + 8.0 * _EPS * abs(value)
-    return EvalResult(complex(value, 0.0), err, Method.INTEGRAL_NEG)
-
-
-# --------------------------------------------------------------------------
-# integral routes: Phi(sigma, a, z), z != 1
-# --------------------------------------------------------------------------
-
-def _check_z_integral(z: complex) -> complex:
-    z = _check_z(z)
-    if z == 1:
-        raise WrongPathError("z = 1 belongs to the hurwitz_integral_* routes")
-    if abs(1.0 - z) < _MIN_ONE_MINUS_Z:
-        raise ConditioningError(
-            f"|1 - z| = {abs(1.0 - z):.2e} < {_MIN_ONE_MINUS_Z}: the kernel "
-            "magnitude ~ 1/|1-z| makes the integral paths ill-conditioned")
-    return z
-
-
-def _gz_head(sigma: float, a: float, z: complex, delta: float,
-             include_constant: bool) -> tuple[complex, float]:
-    """int_0^delta of (G_z + [include_constant]/(1-z)) * x^{sigma-1} dx from
-    the Taylor series of G_z about 0."""
-    c = gz_taylor_coeffs(a, z, _HEAD_TERMS_GZ)
-    terms = [c[k] * delta ** (k + sigma) / (k + sigma)
-             for k in range(1, c.size)]
-    if include_constant:
-        terms.append((1.0 / (1.0 - z)) * delta ** sigma / sigma)
-    head = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
-    trunc = 2.0 * abs(c[-1]) * delta ** (c.size - 1 + sigma)
-    return head, trunc
+    return _mellin(sigma, a, 1.0, cfg or _DEFAULT_CFG)
 
 
 def phi_integral_pos(sigma: float, a: float, z: complex,
@@ -383,31 +379,9 @@ def phi_integral_pos(sigma: float, a: float, z: complex,
     sigma = float(sigma)
     if not sigma > 0.0:
         raise DomainError(f"phi_integral_pos requires sigma > 0, got {sigma}")
-    a = _check_a(a)
-    z = _check_z_integral(z)
-    cfg = cfg or _DEFAULT_CFG
-    real_z = z.imag == 0.0
-    zz: float | complex = z.real if real_z else z
-    s = cfg.split_point
-    # keep the head strictly inside the Taylor radius |log z| of G_z
-    rho = abs(np.log(complex(z)))
-    delta = min(_HEAD_DELTA, 0.35 * rho, 0.5 * s)
-    qtol = 0.25 * cfg.tol
-    head, head_err = _gz_head(sigma, a, z, delta, include_constant=True)
-    mid = tanh_sinh(lambda x: np.exp((1.0 - a) * x) / (np.exp(x) - zz)
-                    * x ** (sigma - 1.0),
-                    delta, s, tol=qtol, max_levels=cfg.max_levels)
-    tail = exp_sinh(lambda x: np.exp((sigma - 1.0) * np.log(x) - a * x)
-                    / (1.0 - zz * np.exp(-x)),
-                    s, tol=qtol, max_levels=cfg.max_levels,
-                    x_cap=cfg.tail_cutoff)
-    gam = gamma_real(sigma)
-    re = fsum([head.real, mid.value.real, tail.value.real]) / gam
-    im = fsum([head.imag, mid.value.imag, tail.value.imag]) / gam
-    value = complex(re, 0.0) if real_z else complex(re, im)
-    err = (head_err + mid.err + tail.err) / abs(gam) + 8.0 * _EPS * abs(value)
-    method = Method.INTEGRAL_UNIT if _is_unit(z) else Method.INTEGRAL_POS
-    return EvalResult(value, err, method)
+    if complex(z) == 1:
+        raise WrongPathError("z = 1 belongs to the hurwitz_integral_* routes")
+    return _mellin(sigma, a, z, cfg or _DEFAULT_CFG)
 
 
 def phi_integral_neg(sigma: float, a: float, z: complex,
@@ -417,30 +391,9 @@ def phi_integral_neg(sigma: float, a: float, z: complex,
     sigma = float(sigma)
     if not -1.0 < sigma < 0.0:
         raise DomainError(f"phi_integral_neg requires sigma in (-1,0), got {sigma}")
-    a = _check_a(a)
-    z = _check_z_integral(z)
-    cfg = cfg or _DEFAULT_CFG
-    real_z = z.imag == 0.0
-    zz: float | complex = z.real if real_z else z
-    s = cfg.split_point
-    rho = abs(np.log(complex(z)))
-    delta = min(_HEAD_DELTA, 0.35 * rho, 0.5 * s)
-    qtol = 0.25 * cfg.tol
-    head, head_err = _gz_head(sigma, a, z, delta, include_constant=False)
-    mid = tanh_sinh(lambda x: kernel_Gz(a, zz, x) * x ** (sigma - 1.0),
-                    delta, s, tol=qtol, max_levels=cfg.max_levels)
-    tail = exp_sinh(lambda x: np.exp((sigma - 1.0) * np.log(x) - a * x)
-                    / (1.0 - zz * np.exp(-x)),
-                    s, tol=qtol, max_levels=cfg.max_levels,
-                    x_cap=cfg.tail_cutoff)
-    corr = (1.0 / (1.0 - z)) * s ** sigma / sigma
-    gam = gamma_real(sigma)
-    re = fsum([head.real, mid.value.real, tail.value.real, corr.real]) / gam
-    im = fsum([head.imag, mid.value.imag, tail.value.imag, corr.imag]) / gam
-    value = complex(re, 0.0) if real_z else complex(re, im)
-    err = (head_err + mid.err + tail.err) / abs(gam) + 8.0 * _EPS * abs(value)
-    method = Method.INTEGRAL_UNIT if _is_unit(z) else Method.INTEGRAL_NEG
-    return EvalResult(value, err, method)
+    if complex(z) == 1:
+        raise WrongPathError("z = 1 belongs to the hurwitz_integral_* routes")
+    return _mellin(sigma, a, z, cfg or _DEFAULT_CFG)
 
 
 # --------------------------------------------------------------------------
@@ -456,17 +409,17 @@ def evaluate(sigma: float, a: float, z: complex,
     1 < sigma < 1.5 on the unit circle the series tail decays too slowly for
     a sensible term count, so z = 1 uses the Euler-Maclaurin route and z != 1
     the sigma > 0 integral.  sigma = 1 with z = 1 is the zeta pole; sigma
-    below -1 is outside the supported range.
+    below -1 and non-finite sigma are outside the supported range.
     """
     cfg = cfg or _DEFAULT_CFG
     sigma = float(sigma)
     a = _check_a(a)
     z = _check_z(z)
+    if not -1.0 <= sigma < math.inf:
+        raise DomainError(f"sigma must be finite and >= -1, got {sigma}")
     if sigma == 0.0 or sigma == -1.0:
         return EvalResult(special_value(int(sigma), a, z), 0.0,
                           Method.SPECIAL_VALUE)
-    if sigma < -1.0:
-        raise DomainError(f"sigma = {sigma} is below the supported range (-1, inf)")
     if z == 1:
         if sigma == 1.0:
             raise PoleError("zeta(s,a) has a simple pole at s = 1")
@@ -474,11 +427,6 @@ def evaluate(sigma: float, a: float, z: complex,
             if sigma >= 1.5:
                 return phi_series(sigma, a, z, tol=cfg.tol)
             return hurwitz_em(sigma, a)
-        if sigma > 0.0:
-            return hurwitz_integral_pos(sigma, a, cfg)
-        return hurwitz_integral_neg(sigma, a, cfg)
-    if abs(z) <= 0.9 or sigma >= 1.5:
+    elif abs(z) <= 0.9 or sigma >= 1.5:
         return phi_series(sigma, a, z, tol=cfg.tol)
-    if sigma > 0.0:
-        return phi_integral_pos(sigma, a, z, cfg)
-    return phi_integral_neg(sigma, a, z, cfg)
+    return _mellin(sigma, a, z, cfg)

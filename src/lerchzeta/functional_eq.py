@@ -56,13 +56,11 @@ _TWO_PI = 2.0 * math.pi
 class FESumConfig:
     """Truncation of the (formally infinite) functional-equation sums.
 
-    n_max                one-sided term count (bilateral sums use -n_max..n_max)
-    use_tail_correction  append the iterated-Abel tail estimate
-    tail_depth           Abel iterations (error ~ (N |1-q|)^{-depth})
+    n_max       one-sided term count (bilateral sums use -n_max..n_max)
+    tail_depth  Abel iterations for the tail (error ~ (N |1-q|)^{-depth})
     """
 
     n_max: int = 4096
-    use_tail_correction: bool = True
     tail_depth: int = 6
 
     def __post_init__(self) -> None:
@@ -127,12 +125,9 @@ def zeta_fe_rhs(sigma: float, a: float,
     n = np.arange(1, N + 1, dtype=float)
     s_plus = complex(np.sum(np.exp(2j * math.pi * a * n) * n ** (sigma - 1.0)))
     q = cmath.exp(2j * math.pi * a)
-    if cfg.use_tail_correction:
-        tail, tail_err = _abel_tail(q, lambda m: m ** (sigma - 1.0),
-                                    N, cfg.tail_depth)
-        s_plus += tail
-    else:
-        tail_err = 2.0 * N ** (sigma - 1.0) / abs(1.0 - q)
+    tail, tail_err = _abel_tail(q, lambda m: m ** (sigma - 1.0),
+                                N, cfg.tail_depth)
+    s_plus += tail
     s_minus = s_plus.conjugate()
     pref = (-math.pi * 1j) * _TWO_PI ** (sigma - 1.0) \
         / (gamma_real(sigma) * math.sin(math.pi * sigma))
@@ -164,23 +159,19 @@ def phi_fe_rhs(sigma: float, a: float, z: complex,
                           * np.exp(2j * math.pi * a * n)))
     q_pos = cmath.exp(2j * math.pi * a)
     q_neg = q_pos.conjugate()
-    if cfg.use_tail_correction:
-        t_pos, e_pos = _abel_tail(
-            q_pos, lambda m: (2j * math.pi * m - log_z) ** (sigma - 1.0),
-            N, cfg.tail_depth)
-        t_neg, e_neg = _abel_tail(
-            q_neg, lambda m: (-2j * math.pi * m - log_z) ** (sigma - 1.0),
-            N, cfg.tail_depth)
-        core += t_pos + t_neg
-        tail_err = e_pos + e_neg
-    else:
-        tail_err = 4.0 * (_TWO_PI * N) ** (sigma - 1.0) / abs(1.0 - q_pos)
+    t_pos, e_pos = _abel_tail(
+        q_pos, lambda m: (2j * math.pi * m - log_z) ** (sigma - 1.0),
+        N, cfg.tail_depth)
+    t_neg, e_neg = _abel_tail(
+        q_neg, lambda m: (-2j * math.pi * m - log_z) ** (sigma - 1.0),
+        N, cfg.tail_depth)
+    core += t_pos + t_neg
     za = cmath.exp(-a * log_z)
     gam = math.gamma(1.0 - sigma)
     value = za * gam * core
-    err = abs(za) * gam * (tail_err
+    err = abs(za) * gam * (e_pos + e_neg
                            + 16.0 * np.finfo(float).eps * abs(core))
-    return EvalResult(value, float(err), Method.FUNCTIONAL_EQ)
+    return EvalResult(complex(value), float(err), Method.FUNCTIONAL_EQ)
 
 
 # --------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from .evaluate import EvalResult, Method, hurwitz_em
 
 __all__ = [
     "CharacterTable",
-    "GaussSum",
     "SixRelationsReport",
     "builtin_characters",
     "load_character_csv",
@@ -119,11 +118,6 @@ class CharacterTable:
                         f"multiplicativity fails at ({m},{n}) mod {self.q}")
 
 
-@dataclass(frozen=True)
-class GaussSum:
-    value: complex
-
-
 _BUILTIN: dict[int, tuple[CharacterTable, ...]] = {
     1: (CharacterTable(1, (1,), primitive=True, label="principal mod 1"),),
     2: (CharacterTable(2, (1, 0), primitive=False, label="principal mod 2"),),
@@ -166,16 +160,15 @@ def load_character_csv(path: str | Path) -> CharacterTable:
     return table
 
 
-def gauss_sum(chi: CharacterTable, r: int = 1) -> GaussSum:
+def gauss_sum(chi: CharacterTable, r: int = 1) -> complex:
     """G_r(chi) = sum_{n=1}^q chi(n) e^{2 pi i r n / q}.
 
     For primitive chi and gcd(r,q) = 1 this equals chi~(r) G_1(chi) and has
     modulus sqrt(q)."""
-    total = complex(fsum((chi.chi(n) * _unit_root(r * n, chi.q)).real
-                         for n in range(1, chi.q + 1)),
-                    fsum((chi.chi(n) * _unit_root(r * n, chi.q)).imag
-                         for n in range(1, chi.q + 1)))
-    return GaussSum(total)
+    return complex(fsum((chi.chi(n) * _unit_root(r * n, chi.q)).real
+                        for n in range(1, chi.q + 1)),
+                   fsum((chi.chi(n) * _unit_root(r * n, chi.q)).imag
+                        for n in range(1, chi.q + 1)))
 
 
 # --------------------------------------------------------------------------
@@ -364,7 +357,7 @@ def verify_six_relations(sigma: float, q: int,
     prim = [c for c in chars if c.primitive]
     r5 = max(abs(Ls[c.label]
                  - sum(c.chi(r).conjugate() * Lis[r] for r in range(1, q + 1))
-                 / gauss_sum(c.conjugate()).value)
+                 / gauss_sum(c.conjugate()))
              for c in prim) if prim else 0.0
 
     def reconstructed_li(r: int) -> complex:
@@ -373,7 +366,7 @@ def verify_six_relations(sigma: float, q: int,
             qq = q // g
             for c in builtin_characters(qq):
                 total += (g ** (-sigma) / euler_phi(qq)
-                          * gauss_sum(c.conjugate(), r).value
+                          * gauss_sum(c.conjugate(), r)
                           * dirichlet_L_series(sigma, c, n_terms))
         return total
 

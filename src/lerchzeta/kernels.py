@@ -21,7 +21,6 @@ functions are scalar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +28,6 @@ from .errors import DomainError, WrongPathError
 from .special import bernoulli_poly
 
 __all__ = [
-    "ParamPoint",
-    "KernelEval",
     "SERIES_CROSSOVER",
     "SERIES_TERMS",
     "h_series_coeffs",
@@ -40,9 +37,6 @@ __all__ = [
     "kernel_G",
     "kernel_Gz",
     "gz_taylor_coeffs",
-    "kernel_H_eval",
-    "kernel_G_eval",
-    "kernel_Gz_eval",
     "sign_fn_g",
     "case3_kernels",
 ]
@@ -62,34 +56,9 @@ def _check_a(a: float) -> float:
 def _check_z(z: complex) -> complex:
     z = complex(z)
     az = abs(z)
-    if az == 0.0 or az > 1.0 + _Z_TOL:
+    if not 0.0 < az <= 1.0 + _Z_TOL:   # also rejects NaN
         raise DomainError(f"z must satisfy 0 < |z| <= 1, got |z| = {az}")
     return z
-
-
-@dataclass(frozen=True)
-class ParamPoint:
-    """A (a, z) parameter pair: shift a in (0,1], unit-disk point z != 0."""
-
-    a: float
-    z: complex
-
-    def __post_init__(self) -> None:
-        _check_a(self.a)
-        _check_z(self.z)
-
-    @property
-    def is_real_z(self) -> bool:
-        return complex(self.z).imag == 0.0
-
-
-@dataclass(frozen=True)
-class KernelEval:
-    """One kernel evaluation with its provenance."""
-
-    x: float
-    value: complex
-    used_series_fallback: bool
 
 
 def h_series_coeffs(a: float, n_terms: int = SERIES_TERMS) -> np.ndarray:
@@ -222,22 +191,6 @@ def gz_taylor_coeffs(a: float, z: complex, n_terms: int = 36) -> np.ndarray:
             conv += c[j] * inv_fact[k - j]
         c[k] = (nk[k] - inv_fact[k] / one_minus_z - conv) / one_minus_z
     return c
-
-
-def kernel_H_eval(a: float, x: float) -> KernelEval:
-    return KernelEval(x=float(x), value=complex(kernel_H(a, x)),
-                      used_series_fallback=float(x) < SERIES_CROSSOVER)
-
-
-def kernel_G_eval(a: float, x: float) -> KernelEval:
-    return KernelEval(x=float(x), value=complex(kernel_G(a, x)),
-                      used_series_fallback=float(x) < SERIES_CROSSOVER)
-
-
-def kernel_Gz_eval(a: float, z: complex, x: float) -> KernelEval:
-    # the expm1 rewrite plays the role of the near-zero fallback for G_z
-    return KernelEval(x=float(x), value=complex(kernel_Gz(a, z, x)),
-                      used_series_fallback=float(x) < 1.0)
 
 
 def sign_fn_g(a: float, x: float, order: int = 0) -> float:

@@ -134,10 +134,9 @@ def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 
 def exp_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
-             tol: float = 1e-11, max_levels: int = 11,
-             x_cap: float = math.inf) -> QuadResult:
+             tol: float = 1e-11, max_levels: int = 11) -> QuadResult:
     """Integrate f over [a, inf) for integrands with (at least) exponential
-    decay.  Abscissas with x > x_cap are skipped (hard truncation knob)."""
+    decay."""
     running = 0.0 + 0.0j
     prev = None
     value = 0.0 + 0.0j
@@ -149,12 +148,7 @@ def exp_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
             _ES_CACHE[level] = _es_level_nodes(level)
         offset, w = _ES_CACHE[level]
         x = a + offset
-        if math.isfinite(x_cap):
-            keep = x <= x_cap
-            x, wl = x[keep], w[keep]
-        else:
-            wl = w
-        running = running + np.sum(f(x) * wl)
+        running = running + np.sum(f(x) * w)
         evals += x.size
         h = 2.0 ** (-level)
         value = running * h

@@ -202,7 +202,7 @@ def suite_identities(cfg: QuadConfig | None = None) -> list[CheckResult]:
     for q in (3, 4):
         for chi in builtin_characters(q):
             if chi.primitive:
-                g = abs(gauss_sum(chi.conjugate()).value)
+                g = abs(gauss_sum(chi.conjugate()))
                 worst = max(worst, abs(g - math.sqrt(q)))
     results.append(CheckResult("|G(chi~)| = sqrt(q) for primitive built-ins",
                                worst <= 1e-12, worst, 1e-12))

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, SignConstancyError, WrongPathError
-from .evaluate import QuadConfig, evaluate, hurwitz_integral_neg, special_value
+from .evaluate import QuadConfig, evaluate, special_value
 from .kernels import _check_a, _check_z
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "classify",
     "scan_zeros",
     "check_case3",
-    "verify_sign_constancy",
 ]
 
 B2_ROOT_LOWER = (3.0 - math.sqrt(3.0)) / 6.0   # 0.21132...
@@ -226,32 +225,3 @@ def check_case3(a: float, r: float, theta: float,
             f"Im Phi changes sign over the sigma grid for a={a}, z={z}")
     return min(abs(v) for v in ims)
 
-
-def verify_sign_constancy(band: str, sigma_grid=None, a_grid=None,
-                          cfg: QuadConfig | None = None) -> bool:
-    """Check zeta(sigma,a) > 0 on (-1,0) x [b-,1/2] (band='lower') or
-    zeta(sigma,a) < 0 on (-1,0) x [b+,1] (band='upper'), every value
-    exceeding its own error estimate."""
-    band = band.lower()
-    if band not in ("lower", "upper"):
-        raise DomainError("band must be 'lower' or 'upper'")
-    if sigma_grid is None:
-        sigma_grid = np.linspace(-0.95, -0.05, 10)
-    if a_grid is None:
-        a_grid = (np.linspace(B2_ROOT_LOWER, 0.5, 10) if band == "lower"
-                  else np.linspace(B2_ROOT_UPPER, 1.0, 10))
-    cfg = cfg or QuadConfig()
-    want = 1.0 if band == "lower" else -1.0
-    lo_a, hi_a = ((B2_ROOT_LOWER, 0.5) if band == "lower"
-                  else (B2_ROOT_UPPER, 1.0))
-    for a in a_grid:
-        if not lo_a <= float(a) <= hi_a:
-            raise DomainError(f"a = {a} outside the {band} band")
-        for sig in sigma_grid:
-            if not -1.0 < float(sig) < 0.0:
-                raise DomainError(f"sigma = {sig} outside (-1,0)")
-            res = hurwitz_integral_neg(float(sig), float(a), cfg)
-            v = res.value.real
-            if math.copysign(1.0, v) != want or abs(v) <= res.abs_err_estimate:
-                return False
-    return True

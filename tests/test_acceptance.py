@@ -15,8 +15,7 @@ from lerchzeta import (B2_ROOT_LOWER, B2_ROOT_UPPER, QuadConfig, Region,
                        hurwitz_integral_neg, hurwitz_integral_pos,
                        phi_integral_neg, phi_integral_pos, phi_series,
                        scan_zeros, special_value)
-from lerchzeta.verify import (suite_fe, suite_identities, suite_kernels,
-                              suite_signs)
+from lerchzeta.verify import suite_fe, suite_identities, suite_kernels
 
 SCAN_CFG = QuadConfig(tol=1e-8)
 

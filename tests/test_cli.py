@@ -121,19 +121,6 @@ class TestScan:
         _, err = capsys.readouterr().out, capsys.readouterr().err
         assert code == 2
 
-    def test_thread_count_does_not_change_bytes(self, capsys, tmp_path,
-                                                monkeypatch):
-        out1 = tmp_path / "t1.csv"
-        out4 = tmp_path / "t4.csv"
-        common = ["scan", "--a-min", "0.1", "--a-max", "0.5", "--a-step",
-                  "0.2", "--z=-1", "--grid-step", "0.01", "--tol", "1e-8"]
-        monkeypatch.setenv("LERCH_THREADS", "1")
-        assert main(common + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("LERCH_THREADS", "4")
-        assert main(common + ["--out", str(out4)]) == 0
-        capsys.readouterr()
-        assert out1.read_bytes() == out4.read_bytes()
-
 
 class TestVerify:
     def test_kernels_suite_passes(self, capsys):
@@ -170,3 +157,12 @@ class TestConfigFile:
                                 "--z", "1", "--config", str(cfgfile),
                                 "--tol", "1e-12")
         assert code == 0
+
+    def test_unknown_key_is_usage_error(self, capsys, tmp_path):
+        cfgfile = tmp_path / "lerch.cfg"
+        cfgfile.write_text("tol = 1e-6\nsplit_point = 2\n")
+        code, out, err = run_cli(capsys, "eval", "--sigma", "-0.5", "--a",
+                                 "0.5", "--z", "1", "--config", str(cfgfile))
+        assert code == 2
+        assert out == ""
+        assert "split_point" in err

@@ -9,9 +9,11 @@ import pytest
 
 from lerchzeta import (ConditioningError, DomainError, Method, PoleError,
                        QuadConfig, SeriesDivergenceError, WrongPathError,
-                       evaluate, hurwitz_em, hurwitz_integral_neg,
-                       hurwitz_integral_pos, phi_integral_neg,
-                       phi_integral_pos, phi_series, special_value)
+                       builtin_characters, dirichlet_L, evaluate, hurwitz_em,
+                       hurwitz_from_lerch, hurwitz_integral_neg,
+                       hurwitz_integral_pos, lerch_from_hurwitz, phi_fe_rhs,
+                       phi_integral_neg, phi_integral_pos, phi_series,
+                       special_value, zeta_fe_rhs)
 
 PI2_6 = math.pi ** 2 / 6.0
 PI2_12 = math.pi ** 2 / 12.0
@@ -297,14 +299,45 @@ class TestDispatcher:
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            QuadConfig(split_point=0.0)
-        with pytest.raises(DomainError):
             QuadConfig(tol=-1e-9)
         with pytest.raises(DomainError):
             QuadConfig(max_levels=2)
 
-    def test_split_point_override_changes_nothing(self):
-        default = hurwitz_integral_neg(-0.5, 0.3).value.real
-        moved = hurwitz_integral_neg(-0.5, 0.3, QuadConfig(split_point=2.0)
-                                     ).value.real
-        assert abs(default - moved) <= 1e-11
+    @pytest.mark.parametrize("sigma, z", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+        (math.nan, 0.5), (math.inf, 0.5), (math.inf, 1j),
+        (-0.5, complex(math.nan)), (0.5, complex(math.nan, 0.5)),
+        (-0.5, complex(math.inf)), (0.5, complex(0.5, -math.inf)),
+    ])
+    def test_non_finite_input_rejected(self, sigma, z):
+        with pytest.raises(DomainError):
+            evaluate(sigma, 0.5, z)
+
+
+_CHI4 = builtin_characters(4)[1]
+
+
+@pytest.mark.parametrize("route", [
+    lambda: evaluate(0.0, 0.3, 1j),
+    lambda: phi_series(2.0, 0.3, 1j),
+    lambda: phi_series(-0.5, 0.3, 0.5),
+    lambda: hurwitz_em(-0.5, 0.3),
+    lambda: hurwitz_integral_pos(0.5, 0.3),
+    lambda: hurwitz_integral_neg(-0.5, 0.3),
+    lambda: phi_integral_pos(0.5, 0.3, 1j),
+    lambda: phi_integral_pos(0.5, 0.3, -1.0),
+    lambda: phi_integral_neg(-0.5, 0.3, 1j),
+    lambda: phi_integral_neg(-0.5, 0.3, 0.5),
+    lambda: zeta_fe_rhs(-0.5, 0.3),
+    lambda: phi_fe_rhs(-0.5, 0.3, 1j),
+    lambda: dirichlet_L(-0.5, _CHI4),
+    lambda: lerch_from_hurwitz(2.5, 1, 4),
+    lambda: hurwitz_from_lerch(2.5, 1, 4),
+], ids=["special", "series_unit", "series_disk", "em", "hurwitz_pos",
+        "hurwitz_neg", "phi_pos_unit", "phi_pos_real", "phi_neg_unit",
+        "phi_neg_real", "zeta_fe", "phi_fe", "dirichlet_L", "lerch_from_hurwitz",
+        "hurwitz_from_lerch"])
+def test_results_hold_plain_python_scalars(route):
+    r = route()
+    assert type(r.value) is complex
+    assert type(r.abs_err_estimate) is float

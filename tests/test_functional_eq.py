@@ -1,5 +1,5 @@
 """Functional-equation sums vs the integral/series paths, truncation
-scaling of the raw sums, and the expansion/contour identity checks.
+scaling of the sums, and the expansion/contour identity checks.
 """
 import cmath
 import math
@@ -43,19 +43,18 @@ class TestZetaFE:
             zeta_fe_rhs(0.5, 0.5)
 
     def test_raw_truncation_scaling(self):
-        # without tail correction the truncation error drops by >= 1.8x on
-        # average over the grid when n_max doubles (envelope ~ N^{sigma-1})
+        # with a single Abel step on the tail the truncation error drops by
+        # >= 1.8x on average over the grid when n_max doubles (envelope
+        # ~ N^{sigma-2})
         ratios = []
         for sigma in (-0.9, -0.7, -0.5, -0.3, -0.1):
             for a in np.arange(0.1, 0.95, 0.1):
                 ref = hurwitz_em(sigma, float(a)).value.real
                 e1 = abs(zeta_fe_rhs(sigma, float(a),
-                                     FESumConfig(n_max=2048,
-                                                 use_tail_correction=False)
+                                     FESumConfig(n_max=2048, tail_depth=1)
                                      ).value.real - ref)
                 e2 = abs(zeta_fe_rhs(sigma, float(a),
-                                     FESumConfig(n_max=4096,
-                                                 use_tail_correction=False)
+                                     FESumConfig(n_max=4096, tail_depth=1)
                                      ).value.real - ref)
                 if e2 > 0.0:
                     ratios.append(e1 / e2)

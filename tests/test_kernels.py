@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from lerchzeta import (DomainError, WrongPathError, case3_kernels, kernel_G,
-                       kernel_G_eval, kernel_Gz, kernel_Gz_eval, kernel_H,
-                       kernel_H_eval, sign_fn_g)
-from lerchzeta.kernels import (ParamPoint, gz_taylor_coeffs, h_direct,
-                               h_series)
+                       kernel_Gz, kernel_H, sign_fn_g)
+from lerchzeta.kernels import gz_taylor_coeffs, h_direct, h_series
 
 B2M = (3.0 - math.sqrt(3.0)) / 6.0
 B2P = (3.0 + math.sqrt(3.0)) / 6.0
@@ -204,23 +202,3 @@ class TestCase3Kernels:
             with pytest.raises(DomainError):
                 case3_kernels(0.5, 1.0, theta, 1.0)
 
-
-class TestTypes:
-    def test_param_point_validation(self):
-        ParamPoint(0.5, 1j)
-        with pytest.raises(DomainError):
-            ParamPoint(0.0, 1j)
-        with pytest.raises(DomainError):
-            ParamPoint(0.5, 0.0)
-        with pytest.raises(DomainError):
-            ParamPoint(0.5, 2.0 + 0j)
-        assert ParamPoint(0.5, -1.0 + 0j).is_real_z
-
-    def test_kernel_eval_wrappers(self):
-        ev = kernel_H_eval(0.5, 0.1)
-        assert ev.used_series_fallback and ev.value.imag == 0.0
-        assert not kernel_H_eval(0.5, 2.0).used_series_fallback
-        assert kernel_G_eval(0.5, 0.1).used_series_fallback
-        ev = kernel_Gz_eval(0.5, 1j, 0.1)
-        assert ev.used_series_fallback
-        assert ev.value == pytest.approx(kernel_Gz(0.5, 1j, 0.1), abs=1e-16)

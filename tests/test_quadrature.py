@@ -68,11 +68,3 @@ class TestExpSinh:
     def test_gamma_like_integrand(self):
         res = exp_sinh(lambda x: np.exp(2.5 * np.log(x) - x), 0.0, tol=1e-12)
         assert res.value.real == pytest.approx(math.gamma(3.5), rel=1e-11)
-
-    def test_x_cap_truncation(self):
-        # x_cap is a hard truncation knob: the capped value approximates the
-        # truncated integral (the jump costs the smooth rule some accuracy)
-        full = exp_sinh(lambda x: np.exp(-x), 0.0, tol=1e-13)
-        capped = exp_sinh(lambda x: np.exp(-x), 0.0, tol=1e-13, x_cap=5.0)
-        assert capped.value.real == pytest.approx(1.0 - math.exp(-5.0), abs=1e-4)
-        assert full.value.real > capped.value.real

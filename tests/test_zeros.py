@@ -6,7 +6,7 @@ import pytest
 
 from lerchzeta import (B2_ROOT_LOWER, B2_ROOT_UPPER, DomainError, QuadConfig,
                        Region, SignConstancyError, WrongPathError, check_case3,
-                       classify, evaluate, scan_zeros, verify_sign_constancy)
+                       classify, evaluate, run_suite, scan_zeros)
 
 FAST = QuadConfig(tol=1e-8)
 
@@ -142,12 +142,28 @@ class TestCase3:
             check_case3(0.5, 1.0, math.pi)
 
 
-class TestSignConstancy:
-    def test_lower_band(self):
-        assert verify_sign_constancy("lower", cfg=FAST) is True
+@pytest.fixture(scope="module")
+def sign_checks():
+    # the "signs" suite: one check per band (sign kept above the error
+    # estimate on a 10x10 grid) and one for both signs between the bands
+    results = run_suite("signs", FAST)
+    assert len(results) == 3
+    return results
 
-    def test_upper_band(self):
-        assert verify_sign_constancy("upper", cfg=FAST) is True
+
+def _band_check(results, band):
+    (r,) = [r for r in results if f"{band} band" in r.name]
+    return r
+
+
+class TestSignConstancy:
+    def test_lower_band(self, sign_checks):
+        r = _band_check(sign_checks, "lower")
+        assert r.passed, r.line()
+
+    def test_upper_band(self, sign_checks):
+        r = _band_check(sign_checks, "upper")
+        assert r.passed, r.line()
 
     def test_band_between_shows_both_signs(self):
         # a = 0.6 sits between the bands: zeta(0, a) < 0 while
@@ -159,11 +175,3 @@ class TestSignConstancy:
                 for s in np.linspace(-0.95, -0.05, 10)]
         vals += [0.5 - a, -0.5 * (a * a - a + 1.0 / 6.0)]
         assert min(vals) < 0.0 < max(vals)
-
-    def test_bad_band_name(self):
-        with pytest.raises(DomainError):
-            verify_sign_constancy("middle")
-
-    def test_grid_outside_band_rejected(self):
-        with pytest.raises(DomainError):
-            verify_sign_constancy("lower", a_grid=[0.1])

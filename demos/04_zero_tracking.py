@@ -16,7 +16,7 @@ for a in np.arange(0.02, 0.99, 0.02):
     a = round(float(a), 2)
     rep = lz.scan_zeros(a, 1.0, grid_step=0.005, cfg=cfg)
     for root, res in zip(rep.roots, rep.residuals):
-        print(f"{a:.2f}  {root:+.10f}  {res:.1e}")
+        print(f"{a:.2f}  {root:+.8f}  {res:.1e}")
 
 print()
 print("# same for z = -1 (zero exists iff a < 1/2)")
@@ -24,4 +24,4 @@ for a in np.arange(0.05, 0.50, 0.05):
     a = round(float(a), 2)
     rep = lz.scan_zeros(a, -1.0, grid_step=0.005, cfg=cfg)
     for root, res in zip(rep.roots, rep.residuals):
-        print(f"{a:.2f}  {root:+.10f}  {res:.1e}")
+        print(f"{a:.2f}  {root:+.8f}  {res:.1e}")

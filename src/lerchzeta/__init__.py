@@ -20,8 +20,8 @@ from .identities import (CharacterTable, SixRelationsReport,
                          verify_six_relations)
 from .kernels import case3_kernels, kernel_G, kernel_Gz, kernel_H, sign_fn_g
 from .quadrature import QuadResult, exp_sinh, tanh_sinh
-from .special import (BernoulliTable, bernoulli_number, bernoulli_numbers,
-                      bernoulli_poly, complex_pow, gamma_real, principal_log)
+from .special import (bernoulli_number, bernoulli_numbers, bernoulli_poly,
+                      gamma_real, principal_log)
 from .verify import CheckResult, run_suite, suite_names
 from .zeros import (B2_ROOT_LOWER, B2_ROOT_UPPER, Region, RegionVerdict,
                     ZeroReport, check_case3, classify, scan_zeros)
@@ -29,7 +29,7 @@ from .zeros import (B2_ROOT_LOWER, B2_ROOT_UPPER, Region, RegionVerdict,
 __version__ = "1.0.0"
 
 __all__ = [
-    "B2_ROOT_LOWER", "B2_ROOT_UPPER", "BernoulliTable", "CharacterTable",
+    "B2_ROOT_LOWER", "B2_ROOT_UPPER", "CharacterTable",
     "CheckResult", "ConditioningError", "DegreeOverflowError", "DomainError",
     "EvalResult", "FESumConfig", "LerchZetaError", "Method", "PoleError",
     "QuadConfig", "QuadResult", "Region", "RegionVerdict",
@@ -37,7 +37,7 @@ __all__ = [
     "WrongPathError", "ZeroReport",
     "bernoulli_number", "bernoulli_numbers", "bernoulli_poly",
     "builtin_characters", "case3_kernels", "check_case3", "classify",
-    "complex_pow", "dirichlet_L", "dirichlet_L_series", "evaluate",
+    "dirichlet_L", "dirichlet_L_series", "evaluate",
     "exp_sinh", "gamma_real", "gauss_sum", "hurwitz_em", "hurwitz_from_lerch",
     "hurwitz_integral_neg", "hurwitz_integral_pos", "kernel_G",
     "kernel_Gz", "kernel_H", "lerch_from_hurwitz", "load_character_csv",

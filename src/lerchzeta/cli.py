@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    lerch eval   --sigma S --a A --z Z [--method auto|series|integral|fe|em]
+    lerch eval   --sigma S --a A [--z Z] [--method auto|series|integral|fe|em]
                  [--tol T] [--config FILE]
     lerch scan   --a-min A0 --a-max A1 --a-step DA --z ZSPEC --out PATH
                  [--grid-step G] [--tol T] [--config FILE]
@@ -12,8 +12,10 @@ census of zero brackets over an (a, z) grid.  `verify` runs a named check
 suite and exits 0 iff every check passes.
 
 z arguments accept a complex literal ("1", "-1", "0.5+0.5j", "i" works too)
-or "unit:<theta>" for e^{i theta}; the scan's --z additionally accepts a
-comma-separated list of reals.  Exit codes: 0 success, 1 check failure,
+or "unit:<theta>" for e^{i theta}; eval's --z defaults to 1, and the scan's
+--z additionally accepts a comma-separated list of reals.  The scan's --tol
+is one tolerance for the values and the roots: each value is evaluated to
+it and each root is bisected to it.  Exit codes: 0 success, 1 check failure,
 2 usage or domain error.  An optional key=value config file supplies
 quadrature (max_levels, tol) and functional-equation-sum (n_max,
 tail_depth) overrides; command-line flags win and any other key is a usage
@@ -98,11 +100,7 @@ def _build_configs(overrides: dict[str, str],
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     quad, fe_cfg = _build_configs(_load_config(args.config), args.tol)
-    if args.z is not None:
-        z = _parse_complex(args.z)
-    else:
-        z = complex(args.z_re if args.z_re is not None else 1.0,
-                    args.z_im if args.z_im is not None else 0.0)
+    z = _parse_complex(args.z)
     sigma, a = args.sigma, args.a
     method = args.method
     if method == "auto":
@@ -123,11 +121,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scan_cell(a: float, z: complex, grid_step: float, tol: float,
-               quad: QuadConfig) -> str:
+def _scan_cell(a: float, z: complex, grid_step: float, quad: QuadConfig) -> str:
     verdict = classify(a, z)
     if z.imag == 0.0:
-        rep = scan_zeros(a, z.real, grid_step=grid_step, tol=tol, cfg=quad)
+        rep = scan_zeros(a, z.real, grid_step=grid_step, cfg=quad)
         n_br = rep.n_brackets
         roots = ";".join(_fmt(r) for r in rep.roots)
         max_res = rep.max_residual
@@ -149,7 +146,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         a += args.a_step
     cells = sorted(((a, z) for a in a_values for z in z_list),
                    key=lambda cell: (cell[0], cell[1].real, cell[1].imag))
-    rows = [_scan_cell(a, z, args.grid_step, args.tol, quad) for a, z in cells]
+    rows = [_scan_cell(a, z, args.grid_step, quad) for a, z in cells]
     try:
         with open(args.out, "w") as fh:
             fh.write(_SCAN_HEADER + "\n")
@@ -182,10 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate Phi(sigma, a, z)")
     p_eval.add_argument("--sigma", type=float, required=True)
     p_eval.add_argument("--a", type=float, required=True)
-    p_eval.add_argument("--z", type=str, default=None,
-                        help="complex literal or unit:<theta>")
-    p_eval.add_argument("--z-re", type=float, default=None)
-    p_eval.add_argument("--z-im", type=float, default=None)
+    p_eval.add_argument("--z", type=str, default="1",
+                        help="complex literal or unit:<theta> (default 1)")
     p_eval.add_argument("--method", default="auto",
                         choices=["auto", "series", "integral", "fe", "em"])
     p_eval.add_argument("--tol", type=float, default=None)
@@ -216,10 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LerchZetaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (LerchZetaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,7 @@ Routes:
 
   * phi_series            -- the defining Dirichlet series (sigma > 1, or any
                              sigma when |z| < 1), plain truncation with an
-                             honest tail bound.
+                             honest tail and rounding bound.
   * hurwitz_integral_pos  -- zeta(sigma,a) on 0 < sigma < 1 from
                              Gamma(s) zeta(s,a) = int_0^inf H(a,x) x^{s-1} dx.
   * hurwitz_integral_neg  -- zeta(sigma,a) on -1 < sigma < 0 from the same
@@ -13,9 +13,10 @@ Routes:
   * phi_integral_pos/neg  -- the z != 1 analogues with the e^{(1-a)x}/(e^x-z)
                              and G_z kernels.
   * special_value         -- closed forms at sigma = 0 and sigma = -1.
-  * hurwitz_em            -- Euler-Maclaurin oracle for zeta(sigma,a), any
-                             real sigma != 1; independent of the kernels and
-                             quadrature, used for cross-validation.
+  * hurwitz_em            -- Euler-Maclaurin for zeta(sigma,a), any real
+                             sigma != 1; the z = 1 route for sigma > 1, and
+                             independent of the kernels and quadrature, so
+                             also the cross-check for the zeta integrals.
   * evaluate              -- dispatcher over all of the above.
 
 The four integral routes check their own domain and share one core,
@@ -69,9 +70,11 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 _SPLIT = 1.0                # int_0^inf is split here (the kernel analysis splits at 1)
 _HEAD_DELTA = 0.25          # head-series reach for the H/G kernels
-_HEAD_TERMS_GZ = 36         # Taylor terms for the G_z head
 _MIN_ONE_MINUS_Z = 1e-3     # conditioning cap on the integral paths
 _UNIT_TOL = 1e-12
+_SERIES_MAX_TERMS = 2_000_000   # term cap of phi_series
+_EM_TERMS = 24              # hurwitz_em: terms summed directly
+_EM_CORRECTIONS = 8         # hurwitz_em: Bernoulli corrections, B_2..B_16
 
 
 class Method(str, Enum):
@@ -130,21 +133,44 @@ def _is_unit(z: complex) -> bool:
 # series route
 # --------------------------------------------------------------------------
 
-def phi_series(sigma: float, a: float, z: complex, tol: float = 1e-13,
-               max_terms: int = 2_000_000) -> EvalResult:
-    """Direct summation of sum_{n>=0} z^n (n+a)^{-sigma}.
+def _add_chunk(zz: float | complex, sigma: float, a: float, lo: int, hi: int,
+               sums: tuple[list, list, list]) -> None:
+    """Append the sums of Re, Im (complex z only) and |.| of
+    z^n (n+a)^{-sigma} over n = lo..hi-1 to the three lists in sums."""
+    # in place: a unit-circle chunk has 2^19 terms, and new arrays fault pages
+    n = np.arange(lo, hi, dtype=float)
+    terms = np.power(zz, n)
+    n += a
+    terms *= n ** (-sigma)
+    sums[0].append(float(terms.real.sum()))
+    if isinstance(zz, complex):
+        sums[1].append(float(terms.imag.sum()))
+    sums[2].append(float(np.abs(terms, out=n).sum()))
+
+
+def _series_result(sums: tuple[list, list, list], err: float) -> EvalResult:
+    # the rounding term scales with sum |terms|, not |value|: a cancelling
+    # sum keeps the rounding error of its largest terms
+    value = complex(fsum(sums[0]), fsum(sums[1]))
+    return EvalResult(value, err + 8.0 * _EPS * fsum(sums[2]), Method.SERIES)
+
+
+def phi_series(sigma: float, a: float, z: complex,
+               tol: float = 1e-13) -> EvalResult:
+    """Direct summation of sum_{n>=0} z^n (n+a)^{-sigma}, at most 2e6 terms.
 
     Requires sigma > 1 on the unit circle; converges geometrically for
     |z| < 1 at any real sigma.  The recorded error estimate is the geometric
-    next-term bound (|z| < 1) or the integral tail bound (|z| = 1); summation
-    is chunked numpy with pairwise reduction.
+    next-term bound (|z| < 1) or the integral tail bound (|z| = 1), plus
+    8 eps times the sum of the term magnitudes for rounding; summation is
+    chunked numpy with pairwise reduction.
     """
     sigma = float(sigma)
     a = _check_a(a)
     z = _check_z(z)
     az = abs(z)
-    real_z = z.imag == 0.0
-    zz: float | complex = z.real if real_z else z
+    zz: float | complex = z.real if z.imag == 0.0 else z
+    sums: tuple[list, list, list] = ([], [], [])
 
     if _is_unit(z):
         if sigma <= 1.0:
@@ -152,35 +178,19 @@ def phi_series(sigma: float, a: float, z: complex, tol: float = 1e-13,
                 "the series diverges for |z| = 1 and sigma <= 1; use an integral path")
         # choose N from the integral tail bound (N+a)^{1-sigma}/(sigma-1)
         want = (tol * (sigma - 1.0)) ** (-1.0 / (sigma - 1.0)) if sigma < 60 else 64.0
-        n_used = int(min(max_terms, max(64.0, want) + 1.0))
-        total_re, total_im = [], []
+        n_used = int(min(_SERIES_MAX_TERMS, max(64.0, want) + 1.0))
         for lo in range(0, n_used, 1 << 19):
-            hi = min(n_used, lo + (1 << 19))
-            n = np.arange(lo, hi, dtype=float)
-            terms = np.power(zz, n) * (n + a) ** (-sigma)
-            if real_z:
-                total_re.append(float(np.sum(terms)))
-            else:
-                total_re.append(float(np.sum(terms.real)))
-                total_im.append(float(np.sum(terms.imag)))
-        value = complex(fsum(total_re), fsum(total_im) if total_im else 0.0)
+            _add_chunk(zz, sigma, a, lo, min(n_used, lo + (1 << 19)), sums)
         # tail <= int_{n_used-1+a}^inf x^-sigma dx, a true upper bound
-        err = (n_used - 1 + a) ** (1.0 - sigma) / (sigma - 1.0)
-        return EvalResult(value, err + 8.0 * _EPS * abs(value), Method.SERIES)
+        return _series_result(
+            sums, (n_used - 1 + a) ** (1.0 - sigma) / (sigma - 1.0))
 
     # geometric regime
-    total_re, total_im = [], []
     chunk = 2048
     n0 = 0
     err = math.inf
-    while n0 < max_terms:
-        n = np.arange(n0, n0 + chunk, dtype=float)
-        terms = np.power(zz, n) * (n + a) ** (-sigma)
-        if real_z:
-            total_re.append(float(np.sum(terms)))
-        else:
-            total_re.append(float(np.sum(terms.real)))
-            total_im.append(float(np.sum(terms.imag)))
+    while n0 < _SERIES_MAX_TERMS:
+        _add_chunk(zz, sigma, a, n0, n0 + chunk, sums)
         n0 += chunk
         t_last = az ** (n0 - 1) * (n0 - 1 + a) ** (-sigma)
         eff_r = az * math.exp(max(0.0, -sigma) / (n0 + a))
@@ -192,10 +202,9 @@ def phi_series(sigma: float, a: float, z: complex, tol: float = 1e-13,
         # |z| a hair inside the unit circle with sigma < 0: the terms are
         # still growing at the term cap, so no honest bound exists
         raise SeriesDivergenceError(
-            f"series tail not yet decaying after {max_terms} terms "
+            f"series tail not yet decaying after {_SERIES_MAX_TERMS} terms "
             f"(|z| = {az}, sigma = {sigma}); use an integral path")
-    value = complex(fsum(total_re), fsum(total_im) if total_im else 0.0)
-    return EvalResult(value, err + 8.0 * _EPS * abs(value), Method.SERIES)
+    return _series_result(sums, err)
 
 
 # --------------------------------------------------------------------------
@@ -228,14 +237,13 @@ def special_value(order: int, a: float, z: complex) -> complex:
 # Euler-Maclaurin oracle
 # --------------------------------------------------------------------------
 
-def hurwitz_em(sigma: float, a: float, n_terms: int = 24,
-               correction_terms: int = 8) -> EvalResult:
+def hurwitz_em(sigma: float, a: float) -> EvalResult:
     """zeta(sigma, a) by Euler-Maclaurin summation.
 
     sum_{k<N} (k+a)^{-s} + (N+a)^{1-s}/(s-1) + (N+a)^{-s}/2
       + sum_{j<=J} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * (N+a)^{-s-2j+1}
 
-    with N >= 20 and corrections through B_16 by default.  The recorded
+    with N = 24 and corrections through B_16 (J = 8).  The recorded
     error is the magnitude of the first omitted correction term (a valid
     bound for real sigma).  This route never touches the kernel/quadrature
     machinery, so it serves as the independent cross-check for them.
@@ -248,17 +256,21 @@ def hurwitz_em(sigma: float, a: float, n_terms: int = 24,
         raise DomainError(f"hurwitz_em requires a > 0, got {a}")
     if sigma == 1.0:
         raise PoleError("zeta(s,a) has its pole at sigma = 1")
-    if sigma <= -(2 * correction_terms):
-        raise DomainError("sigma too negative for the configured corrections")
-    N = max(int(n_terms), 20)
-    J = int(correction_terms)
-    pieces = [(k + a) ** (-sigma) for k in range(N)]
+    if sigma <= -(2 * _EM_CORRECTIONS):
+        raise DomainError("sigma too negative for the Euler-Maclaurin corrections")
+    N, J = _EM_TERMS, _EM_CORRECTIONS
+    try:
+        pieces = [(k + a) ** (-sigma) for k in range(N)]
+    except OverflowError:
+        raise DomainError(f"zeta({sigma}, {a}) exceeds the binary64 range") from None
     Na = N + a
     pieces.append(Na ** (1.0 - sigma) / (sigma - 1.0))
     pieces.append(0.5 * Na ** (-sigma))
     rising = sigma
     power = Na ** (-sigma - 1.0)
     for j in range(1, J + 1):
+        if power == 0.0:   # the rest are 0, and rising may reach inf
+            break
         pieces.append(bernoulli_number(2 * j) / math.factorial(2 * j)
                       * rising * power)
         rising *= (sigma + 2 * j - 1.0) * (sigma + 2 * j)
@@ -317,7 +329,7 @@ def _mellin(sigma: float, a: float, z: complex, cfg: QuadConfig) -> EvalResult:
         const = 1.0 / (1.0 - z)
         # keep the head strictly inside the Taylor radius |log z| of G_z
         delta = min(_HEAD_DELTA, 0.35 * abs(np.log(complex(z))))
-        c = gz_taylor_coeffs(a, z, _HEAD_TERMS_GZ)
+        c = gz_taylor_coeffs(a, z)
         first = 1
         head_err = 2.0 * abs(c[-1]) * delta ** (c.size - 1 + sigma)
         if neg:
@@ -404,12 +416,13 @@ def evaluate(sigma: float, a: float, z: complex,
              cfg: QuadConfig | None = None) -> EvalResult:
     """Evaluate Phi(sigma, a, z), dispatching on (sigma, z).
 
-    sigma in {0,-1} -> closed forms; z = 1 -> the zeta routes; sigma > 1 or
-    |z| <= 0.9 -> the series; otherwise the integral representations.  For
-    1 < sigma < 1.5 on the unit circle the series tail decays too slowly for
-    a sensible term count, so z = 1 uses the Euler-Maclaurin route and z != 1
-    the sigma > 0 integral.  sigma = 1 with z = 1 is the zeta pole; sigma
-    below -1 and non-finite sigma are outside the supported range.
+    sigma in {0,-1} -> closed forms; z = 1 and sigma > 1 -> Euler-Maclaurin;
+    z = 1 otherwise -> the zeta integrals; z != 1 with |z| <= 0.9 or
+    sigma >= 1.5 -> the series; otherwise the integral representations (for
+    1 < sigma < 1.5 on the unit circle the series tail decays too slowly
+    for a sensible term count, so z != 1 takes the sigma > 0 integral).
+    sigma = 1 with z = 1 is the zeta pole; sigma below -1 and non-finite
+    sigma are outside the supported range.
     """
     cfg = cfg or _DEFAULT_CFG
     sigma = float(sigma)
@@ -424,8 +437,6 @@ def evaluate(sigma: float, a: float, z: complex,
         if sigma == 1.0:
             raise PoleError("zeta(s,a) has a simple pole at s = 1")
         if sigma > 1.0:
-            if sigma >= 1.5:
-                return phi_series(sigma, a, z, tol=cfg.tol)
             return hurwitz_em(sigma, a)
     elif abs(z) <= 0.9 or sigma >= 1.5:
         return phi_series(sigma, a, z, tol=cfg.tol)

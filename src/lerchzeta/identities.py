@@ -55,6 +55,9 @@ __all__ = [
     "verify_six_relations",
 ]
 
+_SERIES_TERMS = 200_000     # terms of the direct L and polylog series
+_CHI_TOL = 1e-12            # slack of the character axioms on CSV values
+
 
 def _unit_root(num: int, den: int) -> complex:
     """e^{2 pi i num/den} with the exponent reduced mod den first."""
@@ -99,7 +102,7 @@ class CharacterTable:
         return all(v == 1 for n, v in enumerate(self.values, start=1)
                    if gcd(n, self.q) == 1)
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Character axioms: chi(n) = 0 iff gcd(n,q) > 1, unit modulus on
         units, complete multiplicativity.  Raises DomainError on failure."""
         for n in range(1, self.q + 1):
@@ -107,13 +110,13 @@ class CharacterTable:
             if gcd(n, self.q) > 1:
                 if v != 0:
                     raise DomainError(f"chi({n}) must vanish (gcd > 1)")
-            elif abs(abs(v) - 1.0) > tol:
+            elif abs(abs(v) - 1.0) > _CHI_TOL:
                 raise DomainError(f"|chi({n})| = {abs(v)} is not 1")
         if self.chi(1) != 1:
             raise DomainError("chi(1) must equal 1")
         for m in range(1, self.q + 1):
             for n in range(1, self.q + 1):
-                if abs(self.chi(m) * self.chi(n) - self.chi(m * n)) > tol:
+                if abs(self.chi(m) * self.chi(n) - self.chi(m * n)) > _CHI_TOL:
                     raise DomainError(
                         f"multiplicativity fails at ({m},{n}) mod {self.q}")
 
@@ -194,12 +197,12 @@ def dirichlet_L(sigma: float, chi: CharacterTable) -> EvalResult:
     return EvalResult(value, err, Method.EULER_MACLAURIN)
 
 
-def _zeta_series_direct(sigma: float, n_terms: int) -> float:
+def _zeta_series_direct(sigma: float) -> float:
     """sum_m m^{-sigma} (sigma > 1) by plain summation plus the elementary
     integral tail  M^{1-s}/(s-1) - M^{-s}/2 + s M^{-s-1}/12."""
-    m = np.arange(1, n_terms + 1, dtype=float)
+    m = np.arange(1, _SERIES_TERMS + 1, dtype=float)
     partial = float(np.sum(m ** (-sigma)))
-    M = float(n_terms)
+    M = float(_SERIES_TERMS)
     tail = (M ** (1.0 - sigma) / (sigma - 1.0) - 0.5 * M ** (-sigma)
             + sigma * M ** (-sigma - 1.0) / 12.0)
     return partial + tail
@@ -220,33 +223,33 @@ def _mobius(n: int) -> int:
     return out
 
 
-def dirichlet_L_series(sigma: float, chi: CharacterTable,
-                       n_terms: int = 200_000) -> complex:
+def dirichlet_L_series(sigma: float, chi: CharacterTable) -> complex:
     """Direct-series oracle for L(sigma, chi), sigma > 1, independent of the
     Hurwitz machinery.
 
-    Non-principal characters: plain truncation (bounded character sums give
-    a tail below q N^{-sigma}).  Principal characters have a non-oscillating
-    tail, handled through L(s,chi0) = sum_{d|q} mu(d) d^{-s} zeta(s) with
-    the zeta factor from the tail-corrected plain sum."""
+    Non-principal characters: plain truncation at N = 200000 terms (bounded
+    character sums give a tail below q N^{-sigma}).  Principal characters
+    have a non-oscillating tail, handled through L(s,chi0) =
+    sum_{d|q} mu(d) d^{-s} zeta(s) with the zeta factor from the
+    tail-corrected plain sum."""
     sigma = float(sigma)
     if not sigma > 1.0:
         raise DomainError("the direct L series needs sigma > 1")
     q = chi.q
     if chi.is_principal:
-        zeta_val = _zeta_series_direct(sigma, n_terms)
+        zeta_val = _zeta_series_direct(sigma)
         factor = fsum(_mobius(d) * d ** (-sigma) for d in _divisors(q))
         return complex(factor * zeta_val, 0.0)
-    n = np.arange(1, n_terms + 1)
+    n = np.arange(1, _SERIES_TERMS + 1)
     table = np.array([chi.chi(k) for k in range(1, q + 1)], dtype=complex)
-    chin = np.tile(table, n_terms // q + 1)[:n_terms]
+    chin = np.tile(table, _SERIES_TERMS // q + 1)[:_SERIES_TERMS]
     terms = chin * n.astype(float) ** (-sigma)
     return complex(np.sum(terms.real), np.sum(terms.imag))
 
 
-def polylog_series(sigma: float, r: int, q: int,
-                   n_terms: int = 200_000) -> complex:
-    """Direct-series oracle for Li_sigma(e^{2 pi i r/q}), sigma > 1.
+def polylog_series(sigma: float, r: int, q: int) -> complex:
+    """Direct-series oracle for Li_sigma(e^{2 pi i r/q}), sigma > 1, from
+    N = 200000 terms.
 
     q | r reduces to the zeta sum (tail-corrected); otherwise the root-of-
     unity phases are tiled exactly and the oscillating tail is below
@@ -257,10 +260,10 @@ def polylog_series(sigma: float, r: int, q: int,
     if q < 1 or not 1 <= r <= q:
         raise DomainError("need 1 <= r <= q")
     if r % q == 0:
-        return complex(_zeta_series_direct(sigma, n_terms), 0.0)
-    n = np.arange(1, n_terms + 1)
+        return complex(_zeta_series_direct(sigma), 0.0)
+    n = np.arange(1, _SERIES_TERMS + 1)
     phases = np.array([_unit_root(r * k, q) for k in range(1, q + 1)])
-    zn = np.tile(phases, n_terms // q + 1)[:n_terms]
+    zn = np.tile(phases, _SERIES_TERMS // q + 1)[:_SERIES_TERMS]
     terms = zn * n.astype(float) ** (-sigma)
     return complex(np.sum(terms.real), np.sum(terms.imag))
 
@@ -324,8 +327,7 @@ class SixRelationsReport:
         return max(self.residuals.values())
 
 
-def verify_six_relations(sigma: float, q: int,
-                         n_terms: int = 200_000) -> SixRelationsReport:
+def verify_six_relations(sigma: float, q: int) -> SixRelationsReport:
     """Evaluate every side of R1..R6 independently and report the residuals.
 
     zeta values come from Euler-Maclaurin; L and Li values from their direct
@@ -339,8 +341,8 @@ def verify_six_relations(sigma: float, q: int,
     phi_q = euler_phi(q)
 
     zs = {r: hurwitz_em(sigma, r / q).value.real for r in range(1, q + 1)}
-    Ls = {c.label: dirichlet_L_series(sigma, c, n_terms) for c in chars}
-    Lis = {k: polylog_series(sigma, k, q, n_terms) for k in range(1, q + 1)}
+    Ls = {c.label: dirichlet_L_series(sigma, c) for c in chars}
+    Lis = {k: polylog_series(sigma, k, q) for k in range(1, q + 1)}
 
     r1 = max(abs(Ls[c.label]
                  - q ** (-sigma) * sum(c.chi(r) * zs[r] for r in range(1, q + 1)))
@@ -367,7 +369,7 @@ def verify_six_relations(sigma: float, q: int,
             for c in builtin_characters(qq):
                 total += (g ** (-sigma) / euler_phi(qq)
                           * gauss_sum(c.conjugate(), r)
-                          * dirichlet_L_series(sigma, c, n_terms))
+                          * dirichlet_L_series(sigma, c))
         return total
 
     r6 = max(abs(Lis[r] - reconstructed_li(r)) for r in range(1, q + 1))

@@ -43,6 +43,7 @@ __all__ = [
 
 SERIES_CROSSOVER = 0.5   # series/direct switch for H and G
 SERIES_TERMS = 30        # truncation error ~ (x/2pi)^31 / x  <= 1e-33 at x = 0.5
+_GZ_TERMS = 36           # Taylor terms of G_z for the integral head series
 _Z_TOL = 1e-12
 
 
@@ -61,12 +62,12 @@ def _check_z(z: complex) -> complex:
     return z
 
 
-def h_series_coeffs(a: float, n_terms: int = SERIES_TERMS) -> np.ndarray:
+def h_series_coeffs(a: float) -> np.ndarray:
     """Coefficients B_n(1-a)/n! of the series H(a,x) = sum c_n x^{n-1},
-    n = 1..n_terms."""
+    n = 1..SERIES_TERMS."""
     a = _check_a(a)
     return np.array([bernoulli_poly(n, 1.0 - a) / math.factorial(n)
-                     for n in range(1, n_terms + 1)])
+                     for n in range(1, SERIES_TERMS + 1)])
 
 
 def h_series(a: float, x):
@@ -168,24 +169,23 @@ def kernel_Gz(a: float, z: complex, x):
     return complex(out)
 
 
-def gz_taylor_coeffs(a: float, z: complex, n_terms: int = 36) -> np.ndarray:
-    """Taylor coefficients c_1..c_n of G_z(a,x) = sum_{k>=1} c_k x^k.
+def gz_taylor_coeffs(a: float, z: complex) -> np.ndarray:
+    """Taylor coefficients c_1..c_36 of G_z(a,x) = sum_{k>=1} c_k x^k.
 
-    Solved from (1-z) e^{(1-a)x} - (e^x - z)/(1)... i.e. from
-    G_z * (e^x - z) = e^{(1-a)x} - (e^x - z)/(1-z) by matching powers.
-    Radius of convergence is |log z| (nearest pole of 1/(e^x - z)), so
-    callers must keep x well inside that.  Returns complex c[0..n_terms]
-    with c[0] = 0; for real z the imaginary parts are exactly 0.
+    Solved from G_z * (e^x - z) = e^{(1-a)x} - (e^x - z)/(1-z) by matching
+    powers.  Radius of convergence is |log z| (nearest pole of
+    1/(e^x - z)), so callers must keep x well inside that.  Returns complex
+    c[0..36] with c[0] = 0; for real z the imaginary parts are exactly 0.
     """
     a = _check_a(a)
     z = _check_z(z)
     if z == 1:
         raise WrongPathError("gz_taylor_coeffs requires z != 1")
     one_minus_z = 1.0 - z
-    inv_fact = [1.0 / math.factorial(k) for k in range(n_terms + 1)]
-    nk = [(1.0 - a) ** k * inv_fact[k] for k in range(n_terms + 1)]
-    c = np.zeros(n_terms + 1, dtype=complex)
-    for k in range(1, n_terms + 1):
+    inv_fact = [1.0 / math.factorial(k) for k in range(_GZ_TERMS + 1)]
+    nk = [(1.0 - a) ** k * inv_fact[k] for k in range(_GZ_TERMS + 1)]
+    c = np.zeros(_GZ_TERMS + 1, dtype=complex)
+    for k in range(1, _GZ_TERMS + 1):
         conv = 0.0 + 0.0j
         for j in range(1, k):
             conv += c[j] * inv_fact[k - j]

@@ -14,6 +14,7 @@ they stay strictly inside the interval for the level range used here.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -52,6 +53,7 @@ def _sigmoid(y: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
 def _ts_level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """New tanh-sinh nodes at this level: (sig, one_minus_sig, weight) where
     x = a + (b-a)*sig and sig = (1 + tanh((pi/2) sinh t))/2."""
@@ -70,6 +72,7 @@ def _ts_level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sig, om_sig, w
 
 
+@functools.cache
 def _es_level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     """New exp-sinh nodes at this level: (offset, weight) with x = a + offset."""
     h = 2.0 ** (-level)
@@ -85,8 +88,30 @@ def _es_level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return offset, w
 
 
-_TS_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_ES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _refine(level_sum: Callable[[int], tuple[complex, int]], scale: float,
+            tol: float, max_levels: int) -> QuadResult:
+    """The level loop both rules share.  level_sum(level) returns the
+    weighted integrand sum over that level's new nodes and their count; the
+    estimate at step h = 2^-level is scale * h times the running sum."""
+    running = 0.0 + 0.0j
+    prev = None
+    value = 0.0 + 0.0j
+    err = math.inf
+    evals = 0
+    level = 0
+    for level in range(max_levels + 1):
+        total, count = level_sum(level)
+        running = running + total
+        evals += count
+        value = running * (2.0 ** (-level) * scale)
+        if prev is not None and level >= 3:
+            err = abs(value - prev)
+            if err <= tol:
+                break
+        prev = value
+    err = max(err, 4.0 * _EPS * abs(value))
+    return QuadResult(value=complex(value), err=float(err),
+                      levels=level, evals=evals)
 
 
 def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -102,61 +127,27 @@ def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     if not b > a:
         raise ValueError("tanh_sinh requires b > a")
     width = b - a
-    running = 0.0 + 0.0j
-    prev = None
-    value = 0.0 + 0.0j
-    err = math.inf
-    evals = 0
-    level = 0
-    for level in range(max_levels + 1):
-        if level not in _TS_CACHE:
-            _TS_CACHE[level] = _ts_level_nodes(level)
-        sig, om_sig, w = _TS_CACHE[level]
+
+    def level_sum(level: int) -> tuple[complex, int]:
+        sig, om_sig, w = _ts_level_nodes(level)
         # build each abscissa from its nearer endpoint (full precision when
         # that endpoint is 0); nodes that still round onto an endpoint are
         # dropped rather than evaluated on a possible singularity
         x = np.where(sig <= 0.5, a + width * sig, b - width * om_sig)
         keep = (x > a) & (x < b)
-        x, wl = x[keep], w[keep]
-        running = running + np.sum(f(x) * wl)
-        evals += x.size
-        h = 2.0 ** (-level)
-        # dx/dt = width * w / 2 since sig'(t) = (pi/4) cosh t / cosh^2 v
-        value = running * (0.5 * h * width)
-        if prev is not None and level >= 3:
-            err = abs(value - prev)
-            if err <= tol:
-                break
-        prev = value
-    err = max(err, 4.0 * _EPS * abs(value))
-    return QuadResult(value=complex(value), err=float(err),
-                      levels=level, evals=evals)
+        x = x[keep]
+        return (f(x) * w[keep]).sum(), x.size
+
+    # dx/dt = width * w / 2 since sig'(t) = (pi/4) cosh t / cosh^2 v
+    return _refine(level_sum, 0.5 * width, tol, max_levels)
 
 
 def exp_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
              tol: float = 1e-11, max_levels: int = 11) -> QuadResult:
     """Integrate f over [a, inf) for integrands with (at least) exponential
     decay."""
-    running = 0.0 + 0.0j
-    prev = None
-    value = 0.0 + 0.0j
-    err = math.inf
-    evals = 0
-    level = 0
-    for level in range(max_levels + 1):
-        if level not in _ES_CACHE:
-            _ES_CACHE[level] = _es_level_nodes(level)
-        offset, w = _ES_CACHE[level]
-        x = a + offset
-        running = running + np.sum(f(x) * w)
-        evals += x.size
-        h = 2.0 ** (-level)
-        value = running * h
-        if prev is not None and level >= 3:
-            err = abs(value - prev)
-            if err <= tol:
-                break
-        prev = value
-    err = max(err, 4.0 * _EPS * abs(value))
-    return QuadResult(value=complex(value), err=float(err),
-                      levels=level, evals=evals)
+    def level_sum(level: int) -> tuple[complex, int]:
+        offset, w = _es_level_nodes(level)
+        return (f(a + offset) * w).sum(), offset.size
+
+    return _refine(level_sum, 1.0, tol, max_levels)

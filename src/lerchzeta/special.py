@@ -1,32 +1,28 @@
-"""Bernoulli polynomials, the real gamma function, and principal-branch
-complex powers.
+"""Bernoulli polynomials, the real gamma function, and the principal-branch
+complex logarithm.
 
-The Bernoulli table is built once from exact rationals (Akiyama-Tanigawa
-recurrence for the numbers, binomial expansion for the polynomial
-coefficients) and then rounded to binary64, so every stored coefficient is
-correct to 1/2 ulp.  Degree 32 is enough for the kernel series used
-elsewhere, which needs B_n up to n = 30 for 1e-15 truncation at |x| <= 1/2.
+The Bernoulli coefficient table is built once at import from exact
+rationals (Akiyama-Tanigawa recurrence for the numbers, binomial expansion
+for the polynomial coefficients) and then rounded to binary64, so every
+stored coefficient is correct to 1/2 ulp.  Degree 32 is enough for the
+kernel series used elsewhere, which needs B_n up to n = 30 for 1e-15
+truncation at |x| <= 1/2.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
 from .errors import DegreeOverflowError, DomainError, PoleError
 
 __all__ = [
-    "BernoulliTable",
     "bernoulli_numbers",
     "bernoulli_number",
     "bernoulli_poly",
-    "default_table",
     "gamma_real",
     "principal_log",
-    "complex_pow",
 ]
 
 MAX_DEGREE = 32
@@ -49,70 +45,38 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Coefficients of B_0(x)..B_max_degree(x), ascending powers, binary64.
-
-    Invariants (exercised by the test suite):
-      * B_0(x) = 1, B_1(x) = x - 1/2, B_2(x) = x^2 - x + 1/6
-      * B_n(0) = B_n(1) for n >= 2
-      * d/dx B_n(x) = n B_{n-1}(x)
-      * B_n(1-x) = (-1)^n B_n(x)
-    """
-
-    max_degree: int
-    coefficients: tuple[tuple[float, ...], ...]
-
-    @classmethod
-    def build(cls, max_degree: int = MAX_DEGREE) -> "BernoulliTable":
-        if max_degree < 2:
-            raise DomainError("max_degree must be >= 2")
-        numbers = bernoulli_numbers(max_degree)
-        coeffs = []
-        for n in range(max_degree + 1):
-            # B_n(x) = sum_k C(n,k) B_{n-k} x^k, exact in Fraction arithmetic
-            row = tuple(float(comb(n, k) * numbers[n - k]) for k in range(n + 1))
-            coeffs.append(row)
-        return cls(max_degree=max_degree, coefficients=tuple(coeffs))
-
-    def poly(self, n: int, x: float) -> float:
-        if n < 0:
-            raise DomainError("polynomial degree must be >= 0")
-        if n > self.max_degree:
-            raise DegreeOverflowError(
-                f"B_{n} exceeds table degree {self.max_degree}")
-        c = self.coefficients[n]
-        v = 0.0
-        for k in range(n, -1, -1):
-            v = v * x + c[k]
-        return v
-
-    def number(self, n: int) -> float:
-        """B_n = B_n(0)."""
-        if n > self.max_degree:
-            raise DegreeOverflowError(
-                f"B_{n} exceeds table degree {self.max_degree}")
-        return self.coefficients[n][0] if n > 0 else 1.0
+# Coefficients of B_0(x)..B_MAX_DEGREE(x), ascending powers, rounded to
+# binary64 from B_n(x) = sum_k C(n,k) B_{n-k} x^k in Fraction arithmetic
+_NUMBERS = bernoulli_numbers(MAX_DEGREE)
+_COEFFS = tuple(tuple(float(comb(n, k) * _NUMBERS[n - k]) for k in range(n + 1))
+                for n in range(MAX_DEGREE + 1))
 
 
-_TABLE = BernoulliTable.build(MAX_DEGREE)
-
-
-def default_table() -> BernoulliTable:
-    return _TABLE
-
-
-def bernoulli_poly(n: int, x: float, table: BernoulliTable | None = None) -> float:
+def bernoulli_poly(n: int, x: float) -> float:
     """Evaluate the n-th Bernoulli polynomial B_n(x) by Horner's rule.
 
     Relative error <= 1e-13 for |x| <= 2 and n <= 32.  Raises
-    DegreeOverflowError for n beyond the table.
+    DegreeOverflowError for n beyond the table.  The table satisfies
+    B_n(0) = B_n(1) for n >= 2, d/dx B_n = n B_{n-1} and
+    B_n(1-x) = (-1)^n B_n(x); the test suite checks all three.
     """
-    return (table or _TABLE).poly(n, float(x))
+    if n < 0:
+        raise DomainError("polynomial degree must be >= 0")
+    if n > MAX_DEGREE:
+        raise DegreeOverflowError(f"B_{n} exceeds table degree {MAX_DEGREE}")
+    x = float(x)
+    c = _COEFFS[n]
+    v = 0.0
+    for k in range(n, -1, -1):
+        v = v * x + c[k]
+    return v
 
 
-def bernoulli_number(n: int, table: BernoulliTable | None = None) -> float:
-    return (table or _TABLE).number(n)
+def bernoulli_number(n: int) -> float:
+    """B_n = B_n(0), from the same binary64 table."""
+    if n > MAX_DEGREE:
+        raise DegreeOverflowError(f"B_{n} exceeds table degree {MAX_DEGREE}")
+    return _COEFFS[n][0] if n > 0 else 1.0
 
 
 def gamma_real(sigma: float) -> float:
@@ -143,15 +107,3 @@ def principal_log(z: complex) -> complex:
         z = complex(z.real, 0.0)
     return cmath.log(z)
 
-
-def complex_pow(base: complex, exponent: float) -> complex:
-    """base**exponent via exp(exponent * principal_log(base)).
-
-    The principal branch makes (-1)**0.5 == 1j and keeps x**s real for
-    real x > 0.
-    """
-    if base == 0:
-        raise DomainError("complex_pow requires a nonzero base")
-    if exponent == 0:
-        return complex(1.0, 0.0)
-    return cmath.exp(exponent * principal_log(base))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -122,21 +123,10 @@ def suite_signs(cfg: QuadConfig | None = None) -> list[CheckResult]:
     return results
 
 
-def _envelope_err_z1(a: float, x: float, n: int, window: int = 8) -> float:
-    errs = []
-    for m in range(n - window + 1, n + 1):
-        s, ref = verify_kernel_expansion_z1(a, x, m)
-        errs.append(abs(s - ref))
-    return max(errs)
-
-
-def _envelope_err_zne1(a: float, z: complex, x: float, n: int,
-                       window: int = 8) -> float:
-    errs = []
-    for m in range(n - window + 1, n + 1):
-        s, ref = verify_kernel_expansion_zne1(a, z, x, m)
-        errs.append(abs(s - ref))
-    return max(errs)
+def _envelope_err(expansion, n: int) -> float:
+    """Largest |partial sum - kernel| over the truncations m = n-7..n, where
+    expansion(m) returns that pair."""
+    return max(abs(s - ref) for s, ref in map(expansion, range(n - 7, n + 1)))
 
 
 def suite_kernels(cfg: QuadConfig | None = None) -> list[CheckResult]:
@@ -146,9 +136,9 @@ def suite_kernels(cfg: QuadConfig | None = None) -> list[CheckResult]:
     min_ratio = 2.0 / 1.2
     worst = math.inf
     for a, x in ((0.5, 1.0), (0.25, 0.1), (0.3, 1.0), (0.9, 2.0), (0.123, 0.7)):
-        e1 = _envelope_err_z1(a, x, 2 ** 12)
-        e2 = _envelope_err_z1(a, x, 2 ** 13)
-        worst = min(worst, e1 / e2)
+        expansion = partial(verify_kernel_expansion_z1, a, x)
+        worst = min(worst, _envelope_err(expansion, 2 ** 12)
+                    / _envelope_err(expansion, 2 ** 13))
     results.append(CheckResult(
         "kernel expansion decay (z = 1), envelope ratio N -> 2N",
         worst >= min_ratio, worst, min_ratio,
@@ -159,9 +149,9 @@ def suite_kernels(cfg: QuadConfig | None = None) -> list[CheckResult]:
                     (0.25, complex(0.5), 0.3),
                     (0.8, cmath.exp(2j * math.pi / 3), 1.5),
                     (0.35, complex(0.0, -0.9), 0.7)):
-        e1 = _envelope_err_zne1(a, z, x, 2 ** 12)
-        e2 = _envelope_err_zne1(a, z, x, 2 ** 13)
-        worst = min(worst, e1 / e2)
+        expansion = partial(verify_kernel_expansion_zne1, a, z, x)
+        worst = min(worst, _envelope_err(expansion, 2 ** 12)
+                    / _envelope_err(expansion, 2 ** 13))
     results.append(CheckResult(
         "kernel expansion decay (z != 1), envelope ratio N -> 2N",
         worst >= min_ratio, worst, min_ratio))

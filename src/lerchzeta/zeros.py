@@ -43,6 +43,7 @@ __all__ = [
 
 B2_ROOT_LOWER = (3.0 - math.sqrt(3.0)) / 6.0   # 0.21132...
 B2_ROOT_UPPER = (3.0 + math.sqrt(3.0)) / 6.0   # 0.78867...
+_CASE3_SIGMAS = np.linspace(-0.9, -0.1, 9)
 
 
 class Region(str, Enum):
@@ -130,8 +131,11 @@ def _bisect(f, lo: float, hi: float, sign_lo: float, tol: float) -> float:
 
 
 def scan_zeros(a: float, z: float, grid_step: float = 0.005,
-               tol: float = 1e-10, cfg: QuadConfig | None = None) -> ZeroReport:
+               cfg: QuadConfig | None = None) -> ZeroReport:
     """Bracket and refine the real zeros of sigma -> Phi(sigma,a,z) on (-1,0).
+
+    cfg.tol is one tolerance for both the values and the roots: each value
+    is evaluated to it, and bisection stops once a bracket is narrower.
 
     z must be real (Phi is real-valued there); non-real z never has real
     zeros on (-1,0) and belongs to check_case3.  The interior grid runs from
@@ -151,8 +155,6 @@ def scan_zeros(a: float, z: float, grid_step: float = 0.005,
     grid_step = float(grid_step)
     if not 0.0 < grid_step <= 0.01:
         raise DomainError("grid_step must lie in (0, 0.01]")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
     cfg = cfg or QuadConfig()
 
     eps = 0.5 * grid_step
@@ -183,7 +185,7 @@ def scan_zeros(a: float, z: float, grid_step: float = 0.005,
     roots: list[float] = []
     residuals: list[float] = []
     for (lo, hi), sign_lo in zip(brackets, bracket_signs):
-        root = _bisect(f, lo, hi, sign_lo, tol)
+        root = _bisect(f, lo, hi, sign_lo, cfg.tol)
         roots.append(root)
         residuals.append(abs(f(root)))
 
@@ -194,10 +196,10 @@ def scan_zeros(a: float, z: float, grid_step: float = 0.005,
 
 
 def check_case3(a: float, r: float, theta: float,
-                sigma_grid=None, cfg: QuadConfig | None = None) -> float:
+                cfg: QuadConfig | None = None) -> float:
     """Non-vanishing evidence for non-real z = r e^{i theta}: evaluates
-    Phi over a sigma grid in (-1,0) and demands that Im Phi keeps one sign
-    and exceeds its error estimate everywhere.  Returns min |Im Phi|;
+    Phi at sigma = -0.9, -0.8, ..., -0.1 and demands that Im Phi keeps one
+    sign and exceeds its error estimate everywhere.  Returns min |Im Phi|;
     raises SignConstancyError on any violation.
     """
     a = _check_a(a)
@@ -207,11 +209,9 @@ def check_case3(a: float, r: float, theta: float,
     if abs(math.sin(theta)) < 1e-12:
         raise DomainError("theta gives a real z; use scan_zeros")
     z = complex(r * math.cos(theta), r * math.sin(theta))
-    if sigma_grid is None:
-        sigma_grid = np.linspace(-0.9, -0.1, 9)
     cfg = cfg or QuadConfig()
     ims: list[float] = []
-    for sig in sigma_grid:
+    for sig in _CASE3_SIGMAS:
         res = evaluate(float(sig), a, z, cfg)
         im = res.value.imag
         if abs(im) <= res.abs_err_estimate:

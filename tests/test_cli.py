@@ -1,4 +1,5 @@
 """CLI contract tests: output format, exit codes, CSV determinism."""
+import os
 import subprocess
 import sys
 
@@ -56,9 +57,14 @@ class TestEval:
         assert float(out.split()[1]) != 0.0
 
     def test_z_re_im_flags(self, capsys):
+        # --z is the one spelling of z; the old --z-re/--z-im pair is gone
         code, out, _ = run_cli(capsys, "eval", "--sigma", "2", "--a", "1",
-                               "--z-re", "-1", "--z-im", "0")
+                               "--z", "-1")
         assert code == 0
+        assert float(out.split()[0]) == pytest.approx(0.8224670334241132,
+                                                      abs=1e-9)  # eta(2)
+        with pytest.raises(SystemExit):
+            main(["eval", "--sigma", "2", "--a", "1", "--z-re", "-1"])
 
     def test_domain_error_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--sigma", "-3", "--a", "0.5",
@@ -137,10 +143,12 @@ class TestVerify:
 
 class TestEntryPoint:
     def test_console_script(self):
+        # the child imports the package from where this process found it
         proc = subprocess.run(
             [sys.executable, "-m", "lerchzeta.cli", "eval", "--sigma", "2",
              "--a", "1", "--z", "1", "--method", "em"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
         assert proc.returncode == 0
         assert proc.stdout.split()[3] == "EulerMaclaurin"
 

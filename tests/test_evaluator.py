@@ -62,7 +62,7 @@ class TestPhiSeries:
         # |z| just inside the unit tolerance with sigma < 0: terms still grow
         # at the cap, so no finite tail estimate exists
         with pytest.raises(SeriesDivergenceError):
-            phi_series(-0.5, 0.5, 1.0 - 1e-11, max_terms=10_000)
+            phi_series(-0.5, 0.5, 1.0 - 1e-11)
 
     def test_complex_z(self):
         res = phi_series(1.5, 0.3, 0.6j, tol=1e-13)
@@ -73,6 +73,15 @@ class TestPhiSeries:
 
     def test_real_z_imag_exactly_zero(self):
         assert phi_series(1.7, 0.4, -0.9).value.imag == 0.0
+
+    def test_rounding_bound_covers_cancellation(self):
+        # the terms alternate and the sum cancels to ~1e-2 of their scale:
+        # 8 eps |value| claimed 1.5e-17 against a true error of 2.2e-15
+        res = evaluate(-0.8471437932331646, 0.3792152452093227,
+                       -0.8288606893530732)
+        assert res.method is Method.SERIES
+        ref = 0.0086128891459196101275
+        assert abs(res.value.real - ref) <= res.abs_err_estimate
 
 
 class TestSpecialValue:
@@ -255,8 +264,31 @@ class TestPhiIntegrals:
 class TestDispatcher:
     def test_series_route(self):
         res = evaluate(2.0, 1.0, 1.0)
-        assert res.method is Method.SERIES
+        assert res.method is Method.EULER_MACLAURIN
         assert abs(res.value.real - PI2_6) <= res.abs_err_estimate
+
+    @pytest.mark.parametrize("sigma, ref", [
+        (1.5, 6.5171275560280610475),
+        (2.2, 9.7938612298006229783),
+        (3.0, 20.26516349878869358),
+    ])
+    def test_zeta_above_one_meets_tol(self, sigma, ref):
+        # every z = 1, sigma > 1 call takes Euler-Maclaurin; the 2e6-term
+        # series missed tol = 1e-10 here by 1.4e-3 (1.5) and 2.3e-8 (2.2)
+        tol = QuadConfig().tol
+        res = evaluate(sigma, 0.37, 1.0)
+        assert res.method is Method.EULER_MACLAURIN
+        assert abs(res.value.real - ref) <= res.abs_err_estimate
+        assert res.abs_err_estimate <= max(tol, tol * abs(ref))
+
+    def test_zeta_at_extreme_sigma(self):
+        # a^-sigma past the binary64 range is a typed refusal (the series
+        # returned inf); far past the underflow of (N+a)^-sigma the
+        # Euler-Maclaurin corrections vanish instead of turning into inf * 0
+        with pytest.raises(DomainError):
+            evaluate(400.0, 0.01, 1.0)
+        res = evaluate(1e20, 1.0, 1.0)
+        assert res.value == 1.0 and res.abs_err_estimate < 1e-14
 
     def test_special_value_routes(self):
         res = evaluate(0.0, 0.3, 1.0)

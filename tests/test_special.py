@@ -1,4 +1,4 @@
-"""Bernoulli table, real gamma, and principal-branch power tests.
+"""Bernoulli table, real gamma, and principal-branch logarithm tests.
 
 Reference values were frozen from 50-digit mpmath computations.
 """
@@ -9,8 +9,8 @@ import pytest
 
 from lerchzeta import (DegreeOverflowError, DomainError, PoleError,
                        bernoulli_number, bernoulli_numbers, bernoulli_poly,
-                       complex_pow, gamma_real, principal_log)
-from lerchzeta.special import BernoulliTable, default_table
+                       gamma_real, principal_log)
+from lerchzeta.special import _COEFFS
 
 B2_ROOT_LOWER = (3.0 - math.sqrt(3.0)) / 6.0
 
@@ -45,10 +45,9 @@ class TestBernoulli:
         # B_n(0) = B_n(1) for n >= 2, to roundoff in the coefficient scale
         # (B_n(1) sums all coefficients, which reach ~1e10 at n = 32)
         eps = np.finfo(float).eps
-        table = default_table()
         for n in range(2, 33):
             lhs, rhs = bernoulli_poly(n, 0.0), bernoulli_poly(n, 1.0)
-            scale = max(1.0, sum(abs(c) for c in table.coefficients[n]))
+            scale = max(1.0, sum(abs(c) for c in _COEFFS[n]))
             assert abs(lhs - rhs) <= 8.0 * eps * scale
 
     def test_reflection_symmetry(self):
@@ -57,10 +56,9 @@ class TestBernoulli:
         # n = 32 the central coefficients reach ~1e10, so the check switches
         # to a backward-error scale of sum_k |c_k| x^k beyond n = 16.
         rng = np.random.default_rng(42)
-        table = default_table()
         for n in range(2, 33):
             abs_coeff_poly = np.polynomial.Polynomial(
-                [abs(c) for c in table.coefficients[n]])
+                [abs(c) for c in _COEFFS[n]])
             for x in rng.uniform(0.0, 1.0, size=100):
                 diff = abs(bernoulli_poly(n, 1.0 - x)
                            - (-1.0) ** n * bernoulli_poly(n, x))
@@ -85,10 +83,9 @@ class TestBernoulli:
     def test_derivative_recurrence_coefficients(self):
         # the same identity checked exactly on the stored coefficients:
         # (k+1) c^{(n)}_{k+1} = n c^{(n-1)}_k for every k
-        table = default_table()
         for n in range(1, 33):
-            cn = table.coefficients[n]
-            cm = table.coefficients[n - 1]
+            cn = _COEFFS[n]
+            cm = _COEFFS[n - 1]
             for k in range(n):
                 lhs = (k + 1) * cn[k + 1]
                 rhs = n * cm[k]
@@ -99,13 +96,6 @@ class TestBernoulli:
             bernoulli_poly(33, 0.5)
         with pytest.raises(DomainError):
             bernoulli_poly(-1, 0.5)
-
-    def test_custom_table(self):
-        table = BernoulliTable.build(8)
-        assert table.max_degree == 8
-        assert table.poly(2, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-16)
-        with pytest.raises(DegreeOverflowError):
-            table.poly(9, 0.0)
 
 
 class TestGammaReal:
@@ -134,31 +124,6 @@ class TestGammaReal:
 
 
 class TestComplexPow:
-    def test_i_squared(self):
-        assert complex_pow(1j, 2.0) == pytest.approx(-1.0 + 0.0j, abs=1e-15)
-
-    def test_principal_sqrt_of_minus_one(self):
-        assert complex_pow(-1.0 + 0.0j, 0.5) == pytest.approx(1j, abs=1e-15)
-        # a signed -0.0 imaginary part must not flip onto the lower branch
-        assert complex_pow(complex(-1.0, -0.0), 0.5) == pytest.approx(1j, abs=1e-15)
-
-    def test_two_pi_i_reference(self):
-        # (2 pi i)^{-1.5} = (2 pi)^{-1.5} e^{-3 pi i/4}; frozen from mpmath
-        got = complex_pow(2j * math.pi, -1.5)
-        want = complex(-0.04489678053129164, -0.04489678053129164)
-        assert abs(got - want) <= 1e-16
-
-    def test_agrees_with_real_powers(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            x = float(rng.uniform(0.05, 10.0))
-            s = float(rng.uniform(-3.0, 3.0))
-            assert abs(complex_pow(x, s) - x ** s) <= 1e-13 * x ** s
-
-    def test_zero_base_raises(self):
-        with pytest.raises(DomainError):
-            complex_pow(0.0, 0.5)
-
     def test_principal_log_branch(self):
         assert principal_log(-1.0).imag == pytest.approx(math.pi, abs=1e-16)
         assert principal_log(complex(-2.0, -0.0)).imag == pytest.approx(

@@ -6,11 +6,11 @@ L-function / polylogarithm identities.
 from .errors import (ConditioningError, DegreeOverflowError, DomainError,
                      LerchZetaError, PoleError, SeriesDivergenceError,
                      SignConstancyError, WrongPathError)
-from .evaluate import (EvalResult, Method, QuadConfig, evaluate, hurwitz_em,
+from .evaluate import (EvalResult, Method, evaluate, hurwitz_em,
                        hurwitz_integral_neg, hurwitz_integral_pos,
                        phi_integral_neg, phi_integral_pos, phi_series,
                        special_value)
-from .functional_eq import (FESumConfig, phi_fe_rhs, verify_kernel_expansion_z1,
+from .functional_eq import (phi_fe_rhs, verify_kernel_expansion_z1,
                             verify_kernel_expansion_zne1,
                             verify_mellin_identity, zeta_fe_rhs)
 from .identities import (CharacterTable, SixRelationsReport,
@@ -31,8 +31,8 @@ __version__ = "1.0.0"
 __all__ = [
     "B2_ROOT_LOWER", "B2_ROOT_UPPER", "CharacterTable",
     "CheckResult", "ConditioningError", "DegreeOverflowError", "DomainError",
-    "EvalResult", "FESumConfig", "LerchZetaError", "Method", "PoleError",
-    "QuadConfig", "QuadResult", "Region", "RegionVerdict",
+    "EvalResult", "LerchZetaError", "Method", "PoleError",
+    "QuadResult", "Region", "RegionVerdict",
     "SeriesDivergenceError", "SignConstancyError", "SixRelationsReport",
     "WrongPathError", "ZeroReport",
     "bernoulli_number", "bernoulli_numbers", "bernoulli_poly",

@@ -1,10 +1,10 @@
 """Command-line front end.
 
     lerch eval   --sigma S --a A [--z Z] [--method auto|series|integral|fe|em]
-                 [--tol T] [--config FILE]
+                 [--tol T]
     lerch scan   --a-min A0 --a-max A1 --a-step DA --z ZSPEC --out PATH
-                 [--grid-step G] [--tol T] [--config FILE]
-    lerch verify {fe,signs,kernels,identities,all} [--config FILE]
+                 [--grid-step G] [--tol T]
+    lerch verify {fe,signs,kernels,identities,all}
 
 `eval` prints "value_re value_im err_estimate method" with 17 significant
 digits (binary64 round-trips exactly).  `scan` writes a deterministic CSV
@@ -13,30 +13,28 @@ suite and exits 0 iff every check passes.
 
 z arguments accept a complex literal ("1", "-1", "0.5+0.5j", "i" works too)
 or "unit:<theta>" for e^{i theta}; eval's --z defaults to 1, and the scan's
---z additionally accepts a comma-separated list of reals.  The scan's --tol
+--z additionally accepts a comma-separated list of reals.  --tol (default
+1e-10, must be positive) is the absolute accuracy target; the scan's --tol
 is one tolerance for the values and the roots: each value is evaluated to
 it and each root is bisected to it.  Exit codes: 0 success, 1 check failure,
-2 usage or domain error.  An optional key=value config file supplies
-quadrature (max_levels, tol) and functional-equation-sum (n_max,
-tail_depth) overrides; command-line flags win and any other key is a usage
-error.  `--method integral` runs the kernel integral for the given sigma
-and z.  Diagnostics go to stderr.
+2 usage or domain error.  `--method integral` runs the kernel integral for
+the given sigma and z; `fe` and `em` have fixed truncations and ignore
+--tol.  Diagnostics go to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from .errors import LerchZetaError
-from .evaluate import QuadConfig, _mellin, evaluate, hurwitz_em, phi_series
-from .functional_eq import FESumConfig, phi_fe_rhs, zeta_fe_rhs
+from .evaluate import _mellin, evaluate, hurwitz_em, phi_series
+from .functional_eq import phi_fe_rhs, zeta_fe_rhs
+from .kernels import _check_tol
 from .verify import run_suite, suite_names
 from .zeros import classify, scan_zeros
 
 _SCAN_HEADER = "a,z_re,z_im,verdict,n_brackets,roots,max_residual"
-_CONFIG_KEYS = ("max_levels", "tol", "n_max", "tail_depth")
 
 
 def _fmt(x: float) -> str:
@@ -61,57 +59,26 @@ def _parse_z_spec(text: str) -> list[complex]:
     return [_parse_complex(text)]
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise LerchZetaError(f"config line without '=': {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
-
-
-def _build_configs(overrides: dict[str, str],
-                   tol_flag: float | None) -> tuple[QuadConfig, FESumConfig]:
-    for key in overrides:
-        if key not in _CONFIG_KEYS:
-            raise LerchZetaError(f"unknown config key {key!r}; known keys: "
-                                 + ", ".join(_CONFIG_KEYS))
-    quad = QuadConfig()
-    fe = FESumConfig()
-    if "max_levels" in overrides:
-        quad = replace(quad, max_levels=int(overrides["max_levels"]))
-    if "tol" in overrides:
-        quad = replace(quad, tol=float(overrides["tol"]))
-    if "n_max" in overrides:
-        fe = replace(fe, n_max=int(overrides["n_max"]))
-    if "tail_depth" in overrides:
-        fe = replace(fe, tail_depth=int(overrides["tail_depth"]))
-    if tol_flag is not None:   # flags win over the config file
-        quad = replace(quad, tol=tol_flag)
-    return quad, fe
+def _tol(text: str) -> float:
+    # argparse turns ArgumentTypeError into a usage error (exit 2)
+    try:
+        return _check_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    quad, fe_cfg = _build_configs(_load_config(args.config), args.tol)
     z = _parse_complex(args.z)
-    sigma, a = args.sigma, args.a
+    sigma, a, tol = args.sigma, args.a, args.tol
     method = args.method
     if method == "auto":
-        res = evaluate(sigma, a, z, quad)
+        res = evaluate(sigma, a, z, tol)
     elif method == "series":
-        res = phi_series(sigma, a, z, tol=quad.tol)
+        res = phi_series(sigma, a, z, tol)
     elif method == "integral":
-        res = _mellin(sigma, a, z, quad)
+        res = _mellin(sigma, a, z, tol)
     elif method == "fe":
-        res = (zeta_fe_rhs(sigma, a, fe_cfg) if z == 1
-               else phi_fe_rhs(sigma, a, z, fe_cfg))
+        res = zeta_fe_rhs(sigma, a) if z == 1 else phi_fe_rhs(sigma, a, z)
     else:  # em
         if z != 1:
             raise LerchZetaError("--method em applies to z = 1 only")
@@ -121,10 +88,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scan_cell(a: float, z: complex, grid_step: float, quad: QuadConfig) -> str:
+def _scan_cell(a: float, z: complex, grid_step: float, tol: float) -> str:
     verdict = classify(a, z)
     if z.imag == 0.0:
-        rep = scan_zeros(a, z.real, grid_step=grid_step, cfg=quad)
+        rep = scan_zeros(a, z.real, grid_step=grid_step, tol=tol)
         n_br = rep.n_brackets
         roots = ";".join(_fmt(r) for r in rep.roots)
         max_res = rep.max_residual
@@ -135,7 +102,6 @@ def _scan_cell(a: float, z: complex, grid_step: float, quad: QuadConfig) -> str:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    quad, _ = _build_configs(_load_config(args.config), args.tol)
     if args.a_step <= 0:
         raise LerchZetaError("--a-step must be positive")
     z_list = _parse_z_spec(args.z)
@@ -146,7 +112,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         a += args.a_step
     cells = sorted(((a, z) for a in a_values for z in z_list),
                    key=lambda cell: (cell[0], cell[1].real, cell[1].imag))
-    rows = [_scan_cell(a, z, args.grid_step, quad) for a, z in cells]
+    rows = [_scan_cell(a, z, args.grid_step, args.tol) for a, z in cells]
     try:
         with open(args.out, "w") as fh:
             fh.write(_SCAN_HEADER + "\n")
@@ -159,8 +125,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    quad, fe_cfg = _build_configs(_load_config(args.config), None)
-    results = run_suite(args.suite, quad, fe_cfg)
+    results = run_suite(args.suite)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]
@@ -183,8 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="complex literal or unit:<theta> (default 1)")
     p_eval.add_argument("--method", default="auto",
                         choices=["auto", "series", "integral", "fe", "em"])
-    p_eval.add_argument("--tol", type=float, default=None)
-    p_eval.add_argument("--config", type=str, default=None)
+    p_eval.add_argument("--tol", type=_tol, default=1e-10)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_scan = sub.add_parser("scan", help="zero census over an (a, z) grid")
@@ -195,13 +159,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="complex literal, unit:<theta>, or list of reals")
     p_scan.add_argument("--out", type=str, required=True)
     p_scan.add_argument("--grid-step", type=float, default=0.005)
-    p_scan.add_argument("--tol", type=float, default=1e-10)
-    p_scan.add_argument("--config", type=str, default=None)
+    p_scan.add_argument("--tol", type=_tol, default=1e-10)
     p_scan.set_defaults(func=_cmd_scan)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=suite_names())
-    p_ver.add_argument("--config", type=str, default=None)
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -19,6 +19,9 @@ Routes:
                              also the cross-check for the zeta integrals.
   * evaluate              -- dispatcher over all of the above.
 
+The series and integral routes take one accuracy input, the absolute
+target tol (default 1e-10, must be positive); the rest are fixed.
+
 The four integral routes check their own domain and share one core,
 _mellin, which evaluates Gamma(sigma) Phi = int_0^inf K(x) x^{sigma-1} dx
 with the kernel K picked from (z == 1, sign of sigma), split at x = 1:
@@ -39,6 +42,7 @@ pairwise reduction inside the quadrature rules.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -48,15 +52,14 @@ import numpy as np
 
 from .errors import (ConditioningError, DomainError, PoleError,
                      SeriesDivergenceError, WrongPathError)
-from .kernels import (_check_a, _check_z, gz_taylor_coeffs, h_series_coeffs,
-                      kernel_G, kernel_Gz, kernel_H)
+from .kernels import (_check_a, _check_tol, _check_z, gz_taylor_coeffs,
+                      h_series_coeffs, kernel_G, kernel_Gz, kernel_H)
 from .quadrature import exp_sinh, tanh_sinh
 from .special import bernoulli_number, bernoulli_poly, gamma_real
 
 __all__ = [
     "Method",
     "EvalResult",
-    "QuadConfig",
     "phi_series",
     "special_value",
     "hurwitz_em",
@@ -75,6 +78,7 @@ _UNIT_TOL = 1e-12
 _SERIES_MAX_TERMS = 2_000_000   # term cap of phi_series
 _EM_TERMS = 24              # hurwitz_em: terms summed directly
 _EM_CORRECTIONS = 8         # hurwitz_em: Bernoulli corrections, B_2..B_16
+_MAX_LEVELS = 11            # tanh-sinh / exp-sinh refinement cap (nodes ~ 2^levels)
 
 
 class Method(str, Enum):
@@ -102,27 +106,6 @@ class EvalResult:
     value: complex
     abs_err_estimate: float
     method: Method
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Quadrature knobs for the integral routes.
-
-    max_levels   tanh-sinh / exp-sinh refinement cap (nodes ~ 2^levels).
-    tol          absolute target for each evaluation.
-    """
-
-    max_levels: int = 11
-    tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise DomainError("tol must be positive")
-        if self.max_levels < 4:
-            raise DomainError("max_levels must be at least 4")
-
-
-_DEFAULT_CFG = QuadConfig()
 
 
 def _is_unit(z: complex) -> bool:
@@ -156,18 +139,21 @@ def _series_result(sums: tuple[list, list, list], err: float) -> EvalResult:
 
 
 def phi_series(sigma: float, a: float, z: complex,
-               tol: float = 1e-13) -> EvalResult:
+               tol: float = 1e-10) -> EvalResult:
     """Direct summation of sum_{n>=0} z^n (n+a)^{-sigma}, at most 2e6 terms.
 
     Requires sigma > 1 on the unit circle; converges geometrically for
     |z| < 1 at any real sigma.  The recorded error estimate is the geometric
     next-term bound (|z| < 1) or the integral tail bound (|z| = 1), plus
     8 eps times the sum of the term magnitudes for rounding; summation is
-    chunked numpy with pairwise reduction.
+    chunked numpy with pairwise reduction.  tol is the absolute target.
     """
     sigma = float(sigma)
+    if not math.isfinite(sigma):
+        raise DomainError(f"sigma must be finite, got {sigma}")
     a = _check_a(a)
     z = _check_z(z)
+    tol = _check_tol(tol)
     az = abs(z)
     zz: float | complex = z.real if z.imag == 0.0 else z
     sums: tuple[list, list, list] = ([], [], [])
@@ -252,8 +238,10 @@ def hurwitz_em(sigma: float, a: float) -> EvalResult:
     """
     sigma = float(sigma)
     a = float(a)
-    if not a > 0.0:
-        raise DomainError(f"hurwitz_em requires a > 0, got {a}")
+    if not math.isfinite(sigma):
+        raise DomainError(f"sigma must be finite, got {sigma}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"hurwitz_em requires finite a > 0, got {a}")
     if sigma == 1.0:
         raise PoleError("zeta(s,a) has its pole at sigma = 1")
     if sigma <= -(2 * _EM_CORRECTIONS):
@@ -286,7 +274,7 @@ def hurwitz_em(sigma: float, a: float) -> EvalResult:
 # integral routes
 # --------------------------------------------------------------------------
 
-def _mellin(sigma: float, a: float, z: complex, cfg: QuadConfig) -> EvalResult:
+def _mellin(sigma: float, a: float, z: complex, tol: float) -> EvalResult:
     """Phi(sigma, a, z) from Gamma(sigma) Phi = int_0^inf K(x) x^{sigma-1} dx
     on -1 < sigma < 0 and on 0 < sigma (below 1 when z = 1).
 
@@ -296,10 +284,12 @@ def _mellin(sigma: float, a: float, z: complex, cfg: QuadConfig) -> EvalResult:
     That gives the kernels H (z = 1, sigma > 0), G (z = 1, sigma < 0), G_z
     (z != 1, sigma < 0) and the bare e^{(1-a)x}/(e^x - z) (z != 1,
     sigma > 0).  The subtracted parts come back in closed form over
-    [1, inf); the layout is the one in the module docstring.
+    [1, inf); the layout is the one in the module docstring.  tol is the
+    absolute target.  A value or estimate outside binary64 is DomainError.
     """
     a = _check_a(a)
     z = _check_z(z)
+    tol = _check_tol(tol)
     top = 1.0 if z == 1 else math.inf
     if not (-1.0 < sigma < 0.0 or 0.0 < sigma < top):
         raise DomainError(f"the integral routes need sigma in (-1,0) u "
@@ -346,18 +336,21 @@ def _mellin(sigma: float, a: float, z: complex, cfg: QuadConfig) -> EvalResult:
     if z != 1 and not neg:
         terms.append(const * delta ** sigma / sigma)
     head = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
-    qtol = 0.25 * cfg.tol
+    qtol = 0.25 * tol
     mid = tanh_sinh(lambda x: kernel(x) * x ** (sigma - 1.0),
-                    delta, s, tol=qtol, max_levels=cfg.max_levels)
+                    delta, s, tol=qtol, max_levels=_MAX_LEVELS)
     tail = exp_sinh(lambda x: np.exp((sigma - 1.0) * np.log(x) - a * x)
                     / tail_den(x),
-                    s, tol=qtol, max_levels=cfg.max_levels)
+                    s, tol=qtol, max_levels=_MAX_LEVELS)
     pieces = (head, mid.value, tail.value, corr)
     gam = gamma_real(sigma)
     re = fsum(p.real for p in pieces) / gam
     im = fsum(p.imag for p in pieces) / gam
     value = complex(re, 0.0) if real_z else complex(re, im)
     err = (head_err + mid.err + tail.err) / abs(gam) + 8.0 * _EPS * abs(value)
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"Phi({sigma}, {a}, {z}) by the integral route "
+                          "exceeds the binary64 range")
     if z != 1 and _is_unit(z):
         method = Method.INTEGRAL_UNIT
     else:
@@ -366,26 +359,26 @@ def _mellin(sigma: float, a: float, z: complex, cfg: QuadConfig) -> EvalResult:
 
 
 def hurwitz_integral_pos(sigma: float, a: float,
-                         cfg: QuadConfig | None = None) -> EvalResult:
+                         tol: float = 1e-10) -> EvalResult:
     """zeta(sigma,a) for 0 < sigma < 1 via the H-kernel integral."""
     sigma = float(sigma)
     if not 0.0 < sigma < 1.0:
         raise DomainError(f"hurwitz_integral_pos requires sigma in (0,1), got {sigma}")
-    return _mellin(sigma, a, 1.0, cfg or _DEFAULT_CFG)
+    return _mellin(sigma, a, 1.0, tol)
 
 
 def hurwitz_integral_neg(sigma: float, a: float,
-                         cfg: QuadConfig | None = None) -> EvalResult:
+                         tol: float = 1e-10) -> EvalResult:
     """zeta(sigma,a) for -1 < sigma < 0 via the G-kernel integral; the
     output is exactly real."""
     sigma = float(sigma)
     if not -1.0 < sigma < 0.0:
         raise DomainError(f"hurwitz_integral_neg requires sigma in (-1,0), got {sigma}")
-    return _mellin(sigma, a, 1.0, cfg or _DEFAULT_CFG)
+    return _mellin(sigma, a, 1.0, tol)
 
 
 def phi_integral_pos(sigma: float, a: float, z: complex,
-                     cfg: QuadConfig | None = None) -> EvalResult:
+                     tol: float = 1e-10) -> EvalResult:
     """Phi(sigma,a,z) for sigma > 0, z != 1, via
     Gamma(s) Phi = int_0^inf x^{s-1} e^{(1-a)x}/(e^x - z) dx."""
     sigma = float(sigma)
@@ -393,11 +386,11 @@ def phi_integral_pos(sigma: float, a: float, z: complex,
         raise DomainError(f"phi_integral_pos requires sigma > 0, got {sigma}")
     if complex(z) == 1:
         raise WrongPathError("z = 1 belongs to the hurwitz_integral_* routes")
-    return _mellin(sigma, a, z, cfg or _DEFAULT_CFG)
+    return _mellin(sigma, a, z, tol)
 
 
 def phi_integral_neg(sigma: float, a: float, z: complex,
-                     cfg: QuadConfig | None = None) -> EvalResult:
+                     tol: float = 1e-10) -> EvalResult:
     """Phi(sigma,a,z) for -1 < sigma < 0, z != 1, via
     Gamma(s) Phi = int_0^inf G_z(a,x) x^{s-1} dx."""
     sigma = float(sigma)
@@ -405,7 +398,7 @@ def phi_integral_neg(sigma: float, a: float, z: complex,
         raise DomainError(f"phi_integral_neg requires sigma in (-1,0), got {sigma}")
     if complex(z) == 1:
         raise WrongPathError("z = 1 belongs to the hurwitz_integral_* routes")
-    return _mellin(sigma, a, z, cfg or _DEFAULT_CFG)
+    return _mellin(sigma, a, z, tol)
 
 
 # --------------------------------------------------------------------------
@@ -413,7 +406,7 @@ def phi_integral_neg(sigma: float, a: float, z: complex,
 # --------------------------------------------------------------------------
 
 def evaluate(sigma: float, a: float, z: complex,
-             cfg: QuadConfig | None = None) -> EvalResult:
+             tol: float = 1e-10) -> EvalResult:
     """Evaluate Phi(sigma, a, z), dispatching on (sigma, z).
 
     sigma in {0,-1} -> closed forms; z = 1 and sigma > 1 -> Euler-Maclaurin;
@@ -422,12 +415,13 @@ def evaluate(sigma: float, a: float, z: complex,
     1 < sigma < 1.5 on the unit circle the series tail decays too slowly
     for a sensible term count, so z != 1 takes the sigma > 0 integral).
     sigma = 1 with z = 1 is the zeta pole; sigma below -1 and non-finite
-    sigma are outside the supported range.
+    sigma are outside the supported range.  tol is the absolute target of
+    the series and integral routes; it must be positive.
     """
-    cfg = cfg or _DEFAULT_CFG
     sigma = float(sigma)
     a = _check_a(a)
     z = _check_z(z)
+    tol = _check_tol(tol)
     if not -1.0 <= sigma < math.inf:
         raise DomainError(f"sigma must be finite and >= -1, got {sigma}")
     if sigma == 0.0 or sigma == -1.0:
@@ -439,5 +433,5 @@ def evaluate(sigma: float, a: float, z: complex,
         if sigma > 1.0:
             return hurwitz_em(sigma, a)
     elif abs(z) <= 0.9 or sigma >= 1.5:
-        return phi_series(sigma, a, z, tol=cfg.tol)
-    return _mellin(sigma, a, z, cfg)
+        return phi_series(sigma, a, z, tol=tol)
+    return _mellin(sigma, a, z, tol)

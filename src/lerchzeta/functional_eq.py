@@ -21,7 +21,8 @@ g smooth,
 
   sum_{n>N} q^n g(n) = [q^{N+1} g(N+1) + sum_{n>N+1} q^n (g(n)-g(n-1))]/(1-q),
 
-applied `depth` times.  Each application shrinks the tail by roughly
+applied _TAIL_DEPTH = 6 times past N = _N_MAX = 4096 terms (bilateral
+sums run over -N..N).  Each application shrinks the tail by roughly
 |g'/g| / |1-q| ~ 1/(N |1-q|), so a handful of terms reaches near machine
 accuracy for a away from the integers.
 """
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from math import comb, fsum
 
 import numpy as np
@@ -41,7 +41,6 @@ from .quadrature import tanh_sinh
 from .special import gamma_real, principal_log
 
 __all__ = [
-    "FESumConfig",
     "zeta_fe_rhs",
     "phi_fe_rhs",
     "verify_kernel_expansion_z1",
@@ -50,49 +49,28 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_N_MAX = 4096       # one-sided term count of the sums
+_TAIL_DEPTH = 6     # Abel iterations on the tail: error ~ (N |1-q|)^-6
 
 
-@dataclass(frozen=True)
-class FESumConfig:
-    """Truncation of the (formally infinite) functional-equation sums.
-
-    n_max       one-sided term count (bilateral sums use -n_max..n_max)
-    tail_depth  Abel iterations for the tail (error ~ (N |1-q|)^{-depth})
-    """
-
-    n_max: int = 4096
-    tail_depth: int = 6
-
-    def __post_init__(self) -> None:
-        if self.n_max < 16:
-            raise DomainError("n_max must be at least 16")
-        if not 1 <= self.tail_depth <= 12:
-            raise DomainError("tail_depth must lie in 1..12")
-
-
-_DEFAULT_FE = FESumConfig()
-
-
-def _abel_tail(q: complex, g, n_start: int, depth: int) -> tuple[complex, float]:
-    """sum_{n > n_start} q^n g(n) for |q| = 1, q != 1, by iterated Abel
+def _abel_tail(q: complex, g) -> tuple[complex, float]:
+    """sum_{n > _N_MAX} q^n g(n) for |q| = 1, q != 1, by iterated Abel
     summation.  g maps a float array of indices to complex values.  Returns
-    (tail, error_bound)."""
-    vals = g(np.arange(n_start + 1, n_start + depth + 2, dtype=float))
+    (tail, error_bound); the bound comes from the last difference."""
+    vals = g(np.arange(_N_MAX + 1, _N_MAX + _TAIL_DEPTH + 2, dtype=float))
     inv = 1.0 / (1.0 - q)
     total = 0.0 + 0.0j
-    qpow = q ** (n_start + 1)
+    qpow = q ** (_N_MAX + 1)
     fac = inv
-    for j in range(depth):
+    for j in range(_TAIL_DEPTH + 1):
         dj = 0.0 + 0.0j
         for i in range(j + 1):
             dj += (-1) ** i * comb(j, i) * vals[j - i]
-        total += qpow * dj * fac
-        qpow *= q
-        fac *= inv
-    dlast = 0.0 + 0.0j
-    for i in range(depth + 1):
-        dlast += (-1) ** i * comb(depth, i) * vals[depth - i]
-    err = 2.0 * abs(dlast) * abs(inv) ** (depth + 1)
+        if j < _TAIL_DEPTH:
+            total += qpow * dj * fac
+            qpow *= q
+            fac *= inv
+    err = 2.0 * abs(dj) * abs(inv) ** (_TAIL_DEPTH + 1)
     return total, err
 
 
@@ -110,8 +88,7 @@ def _check_sigma_neg(sigma: float) -> float:
     return sigma
 
 
-def zeta_fe_rhs(sigma: float, a: float,
-                cfg: FESumConfig | None = None) -> EvalResult:
+def zeta_fe_rhs(sigma: float, a: float) -> EvalResult:
     """Exponential-sum side of the zeta functional equation on (-1,0).
 
     The two sums are complex conjugates for real sigma, so only one is
@@ -120,13 +97,10 @@ def zeta_fe_rhs(sigma: float, a: float,
     """
     sigma = _check_sigma_neg(sigma)
     a = _check_open_a(a)
-    cfg = cfg or _DEFAULT_FE
-    N = cfg.n_max
-    n = np.arange(1, N + 1, dtype=float)
+    n = np.arange(1, _N_MAX + 1, dtype=float)
     s_plus = complex(np.sum(np.exp(2j * math.pi * a * n) * n ** (sigma - 1.0)))
     q = cmath.exp(2j * math.pi * a)
-    tail, tail_err = _abel_tail(q, lambda m: m ** (sigma - 1.0),
-                                N, cfg.tail_depth)
+    tail, tail_err = _abel_tail(q, lambda m: m ** (sigma - 1.0))
     s_plus += tail
     s_minus = s_plus.conjugate()
     pref = (-math.pi * 1j) * _TWO_PI ** (sigma - 1.0) \
@@ -137,11 +111,10 @@ def zeta_fe_rhs(sigma: float, a: float,
     return EvalResult(value, float(err), Method.FUNCTIONAL_EQ)
 
 
-def phi_fe_rhs(sigma: float, a: float, z: complex,
-               cfg: FESumConfig | None = None) -> EvalResult:
+def phi_fe_rhs(sigma: float, a: float, z: complex) -> EvalResult:
     """Bilateral exponential-sum side of the Phi functional equation.
 
-    z^{-a} Gamma(1-s) sum_{|n| <= N} (-log z + 2pi i n)^{s-1} e^{2pi i n a},
+    z^{-a} Gamma(1-s) sum_{|n| <= 4096} (-log z + 2pi i n)^{s-1} e^{2pi i n a},
     principal branch throughout, symmetric truncation, Abel-corrected tails
     on both sides.
     """
@@ -150,21 +123,17 @@ def phi_fe_rhs(sigma: float, a: float, z: complex,
     z = _check_z(z)
     if z == 1:
         raise DomainError("z = 1 makes the n = 0 term singular; use zeta_fe_rhs")
-    cfg = cfg or _DEFAULT_FE
-    N = cfg.n_max
     log_z = principal_log(z)
-    n = np.arange(-N, N + 1, dtype=float)
+    n = np.arange(-_N_MAX, _N_MAX + 1, dtype=float)
     bases = -log_z + 2j * math.pi * n
     core = complex(np.sum(bases ** (sigma - 1.0)
                           * np.exp(2j * math.pi * a * n)))
     q_pos = cmath.exp(2j * math.pi * a)
     q_neg = q_pos.conjugate()
     t_pos, e_pos = _abel_tail(
-        q_pos, lambda m: (2j * math.pi * m - log_z) ** (sigma - 1.0),
-        N, cfg.tail_depth)
+        q_pos, lambda m: (2j * math.pi * m - log_z) ** (sigma - 1.0))
     t_neg, e_neg = _abel_tail(
-        q_neg, lambda m: (-2j * math.pi * m - log_z) ** (sigma - 1.0),
-        N, cfg.tail_depth)
+        q_neg, lambda m: (-2j * math.pi * m - log_z) ** (sigma - 1.0))
     core += t_pos + t_neg
     za = cmath.exp(-a * log_z)
     gam = math.gamma(1.0 - sigma)

@@ -62,6 +62,13 @@ def _check_z(z: complex) -> complex:
     return z
 
 
+def _check_tol(tol: float) -> float:
+    tol = float(tol)
+    if not tol > 0.0:   # also rejects NaN
+        raise DomainError(f"tol must be positive, got {tol}")
+    return tol
+
+
 def h_series_coeffs(a: float) -> np.ndarray:
     """Coefficients B_n(1-a)/n! of the series H(a,x) = sum c_n x^{n-1},
     n = 1..SERIES_TERMS."""

@@ -85,13 +85,17 @@ def gamma_real(sigma: float) -> float:
     On (-1,0) the value is computed through the recurrence
     Gamma(sigma) = Gamma(sigma+1)/sigma, which keeps full accuracy next to
     the pole at 0 and makes the negativity of Gamma on (-1,0) explicit.
+    Past sigma ~ 171.6 Gamma exceeds the binary64 range: DomainError.
     """
     sigma = float(sigma)
     if sigma <= -1.0 or sigma == 0.0:
         raise PoleError(f"gamma_real requires sigma in (-1,0) u (0,inf), got {sigma}")
     if sigma < 0.0:
         return math.gamma(sigma + 1.0) / sigma
-    return math.gamma(sigma)
+    try:
+        return math.gamma(sigma)
+    except OverflowError:
+        raise DomainError(f"Gamma({sigma}) exceeds the binary64 range") from None
 
 
 def principal_log(z: complex) -> complex:

@@ -1,6 +1,7 @@
 """Named verification suites: each runs a batch of checks with pinned
-tolerances and returns structured results.  The CLI `verify` subcommand and
-the acceptance tests both drive these.
+tolerances and returns structured results.  The suites take no arguments:
+every route runs at its default tol of 1e-10.  The CLI `verify` subcommand
+and the acceptance tests both drive these.
 
 Suites:
   fe          integral paths vs the exponential-sum functional equations on
@@ -28,8 +29,8 @@ from functools import partial
 
 import numpy as np
 
-from .evaluate import QuadConfig, hurwitz_integral_neg, phi_integral_neg
-from .functional_eq import (FESumConfig, phi_fe_rhs, verify_kernel_expansion_z1,
+from .evaluate import hurwitz_integral_neg, phi_integral_neg
+from .functional_eq import (phi_fe_rhs, verify_kernel_expansion_z1,
                             verify_kernel_expansion_zne1, verify_mellin_identity,
                             zeta_fe_rhs)
 from .identities import (builtin_characters, dirichlet_L, gauss_sum,
@@ -64,21 +65,18 @@ class CheckResult:
         return out + (f"  ({self.note})" if self.note else "")
 
 
-def suite_fe(cfg: QuadConfig | None = None,
-             fe_cfg: FESumConfig | None = None) -> list[CheckResult]:
-    cfg = cfg or QuadConfig()
-    fe_cfg = fe_cfg or FESumConfig()
+def suite_fe() -> list[CheckResult]:
     results = []
     for zname, z in FE_ZS:
         worst = 0.0
         for sig in FE_SIGMAS:
             for a in FE_AS:
                 if z == 1:
-                    lhs = hurwitz_integral_neg(sig, a, cfg).value
-                    rhs = zeta_fe_rhs(sig, a, fe_cfg).value
+                    lhs = hurwitz_integral_neg(sig, a).value
+                    rhs = zeta_fe_rhs(sig, a).value
                 else:
-                    lhs = phi_integral_neg(sig, a, z, cfg).value
-                    rhs = phi_fe_rhs(sig, a, z, fe_cfg).value
+                    lhs = phi_integral_neg(sig, a, z).value
+                    rhs = phi_fe_rhs(sig, a, z).value
                 worst = max(worst, abs(lhs - rhs))
         results.append(CheckResult(f"functional equation, {zname}",
                                    worst <= 1e-6, worst, 1e-6))
@@ -87,16 +85,15 @@ def suite_fe(cfg: QuadConfig | None = None,
     for (sig, a, z) in ((-0.5, 0.3, complex(0.0, 1.0)),
                         (-0.7, 0.6, cmath.exp(2j * math.pi / 3)),
                         (-0.3, 0.8, complex(0.4, -0.7))):
-        v = phi_fe_rhs(sig, a, z, fe_cfg).value
-        vc = phi_fe_rhs(sig, a, z.conjugate(), fe_cfg).value
+        v = phi_fe_rhs(sig, a, z).value
+        vc = phi_fe_rhs(sig, a, z.conjugate()).value
         worst = max(worst, abs(vc - v.conjugate()))
     results.append(CheckResult("functional equation conjugation symmetry",
                                worst <= 1e-10, worst, 1e-10))
     return results
 
 
-def suite_signs(cfg: QuadConfig | None = None) -> list[CheckResult]:
-    cfg = cfg or QuadConfig()
+def suite_signs() -> list[CheckResult]:
     sig_grid = np.linspace(-0.95, -0.05, 10)
     results = []
     for band, a_lo, a_hi, want in (("lower", B2_ROOT_LOWER, 0.5, 1.0),
@@ -105,7 +102,7 @@ def suite_signs(cfg: QuadConfig | None = None) -> list[CheckResult]:
         margin = math.inf
         for a in a_grid:
             for sig in sig_grid:
-                res = hurwitz_integral_neg(float(sig), float(a), cfg)
+                res = hurwitz_integral_neg(float(sig), float(a))
                 margin = min(margin, want * res.value.real - res.abs_err_estimate)
         results.append(CheckResult(
             f"zeta sign constancy, {band} band "
@@ -113,7 +110,7 @@ def suite_signs(cfg: QuadConfig | None = None) -> list[CheckResult]:
             margin > 0.0, margin, 0.0,
             note="min over 10x10 grid of sign*value - err"))
     # between the bands both signs occur as sigma sweeps (a = 0.6)
-    vals = [hurwitz_integral_neg(float(s), 0.6, cfg).value.real
+    vals = [hurwitz_integral_neg(float(s), 0.6).value.real
             for s in sig_grid]
     vals += [0.5 - 0.6, -0.5 * (0.6 ** 2 - 0.6 + 1.0 / 6.0)]  # sigma = 0, -1
     has_both = (min(vals) < 0.0) and (max(vals) > 0.0)
@@ -129,7 +126,7 @@ def _envelope_err(expansion, n: int) -> float:
     return max(abs(s - ref) for s, ref in map(expansion, range(n - 7, n + 1)))
 
 
-def suite_kernels(cfg: QuadConfig | None = None) -> list[CheckResult]:
+def suite_kernels() -> list[CheckResult]:
     results = []
     # doubling N must at least halve the truncation error (20% slack);
     # measured on a window envelope because the pointwise error oscillates
@@ -164,7 +161,7 @@ def suite_kernels(cfg: QuadConfig | None = None) -> list[CheckResult]:
     return results
 
 
-def suite_identities(cfg: QuadConfig | None = None) -> list[CheckResult]:
+def suite_identities() -> list[CheckResult]:
     results = []
     worst = 0.0
     for q in (3, 4):
@@ -211,15 +208,9 @@ def suite_names() -> list[str]:
     return [*SUITES, "all"]
 
 
-def run_suite(name: str, cfg: QuadConfig | None = None,
-              fe_cfg: FESumConfig | None = None) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
-        out: list[CheckResult] = []
-        for key in SUITES:
-            out.extend(run_suite(key, cfg, fe_cfg))
-        return out
+        return [res for suite in SUITES.values() for res in suite()]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {suite_names()}")
-    if name == "fe":
-        return suite_fe(cfg, fe_cfg)
-    return SUITES[name](cfg)
+    return SUITES[name]()

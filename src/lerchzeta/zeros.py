@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, SignConstancyError, WrongPathError
-from .evaluate import QuadConfig, evaluate, special_value
+from .evaluate import evaluate, special_value
 from .kernels import _check_a, _check_z
 
 __all__ = [
@@ -131,10 +131,10 @@ def _bisect(f, lo: float, hi: float, sign_lo: float, tol: float) -> float:
 
 
 def scan_zeros(a: float, z: float, grid_step: float = 0.005,
-               cfg: QuadConfig | None = None) -> ZeroReport:
+               tol: float = 1e-10) -> ZeroReport:
     """Bracket and refine the real zeros of sigma -> Phi(sigma,a,z) on (-1,0).
 
-    cfg.tol is one tolerance for both the values and the roots: each value
+    tol is one tolerance for both the values and the roots: each value
     is evaluated to it, and bisection stops once a bracket is narrower.
 
     z must be real (Phi is real-valued there); non-real z never has real
@@ -155,7 +155,6 @@ def scan_zeros(a: float, z: float, grid_step: float = 0.005,
     grid_step = float(grid_step)
     if not 0.0 < grid_step <= 0.01:
         raise DomainError("grid_step must lie in (0, 0.01]")
-    cfg = cfg or QuadConfig()
 
     eps = 0.5 * grid_step
     count = int(round((1.0 - grid_step) / grid_step)) + 1
@@ -164,7 +163,7 @@ def scan_zeros(a: float, z: float, grid_step: float = 0.005,
     interior = interior[interior < -1e-9]
 
     def f(sig: float) -> float:
-        return evaluate(sig, a, zr, cfg).value.real
+        return evaluate(sig, a, zr, tol).value.real
 
     phi_m1 = special_value(-1, a, zr).real
     phi_0 = special_value(0, a, zr).real
@@ -185,7 +184,7 @@ def scan_zeros(a: float, z: float, grid_step: float = 0.005,
     roots: list[float] = []
     residuals: list[float] = []
     for (lo, hi), sign_lo in zip(brackets, bracket_signs):
-        root = _bisect(f, lo, hi, sign_lo, cfg.tol)
+        root = _bisect(f, lo, hi, sign_lo, tol)
         roots.append(root)
         residuals.append(abs(f(root)))
 
@@ -196,11 +195,12 @@ def scan_zeros(a: float, z: float, grid_step: float = 0.005,
 
 
 def check_case3(a: float, r: float, theta: float,
-                cfg: QuadConfig | None = None) -> float:
+                tol: float = 1e-10) -> float:
     """Non-vanishing evidence for non-real z = r e^{i theta}: evaluates
     Phi at sigma = -0.9, -0.8, ..., -0.1 and demands that Im Phi keeps one
     sign and exceeds its error estimate everywhere.  Returns min |Im Phi|;
-    raises SignConstancyError on any violation.
+    raises SignConstancyError on any violation.  Each value is evaluated
+    to tol.
     """
     a = _check_a(a)
     r = float(r)
@@ -209,10 +209,9 @@ def check_case3(a: float, r: float, theta: float,
     if abs(math.sin(theta)) < 1e-12:
         raise DomainError("theta gives a real z; use scan_zeros")
     z = complex(r * math.cos(theta), r * math.sin(theta))
-    cfg = cfg or QuadConfig()
     ims: list[float] = []
     for sig in _CASE3_SIGMAS:
-        res = evaluate(float(sig), a, z, cfg)
+        res = evaluate(float(sig), a, z, tol)
         im = res.value.imag
         if abs(im) <= res.abs_err_estimate:
             raise SignConstancyError(

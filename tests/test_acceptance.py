@@ -10,14 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from lerchzeta import (B2_ROOT_LOWER, B2_ROOT_UPPER, QuadConfig, Region,
+from lerchzeta import (B2_ROOT_LOWER, B2_ROOT_UPPER, Region,
                        check_case3, classify, hurwitz_em,
                        hurwitz_integral_neg, hurwitz_integral_pos,
                        phi_integral_neg, phi_integral_pos, phi_series,
                        scan_zeros, special_value)
 from lerchzeta.verify import suite_fe, suite_identities, suite_kernels
 
-SCAN_CFG = QuadConfig(tol=1e-8)
+SCAN_CFG = 1e-8
 
 
 def _report(criterion: int, ok: bool, elapsed: float, limit: float,
@@ -111,7 +111,7 @@ class TestAcceptance:
             if excluded(a, (B2_ROOT_LOWER, 0.5, B2_ROOT_UPPER)):
                 continue
             n_cells += 1
-            rep = scan_zeros(a, 1.0, grid_step=0.005, cfg=SCAN_CFG)
+            rep = scan_zeros(a, 1.0, grid_step=0.005, tol=SCAN_CFG)
             verdict = classify(a, 1.0)
             expect_zero = a < B2_ROOT_LOWER or 0.5 < a < B2_ROOT_UPPER
             if (rep.n_brackets >= 1) != expect_zero:
@@ -122,7 +122,7 @@ class TestAcceptance:
             if excluded(a, (0.5,)):
                 continue
             n_cells += 1
-            rep = scan_zeros(a, -1.0, grid_step=0.005, cfg=SCAN_CFG)
+            rep = scan_zeros(a, -1.0, grid_step=0.005, tol=SCAN_CFG)
             verdict = classify(a, -1.0)
             expect_zero = a < 0.5
             if (rep.n_brackets >= 1) != expect_zero:
@@ -166,7 +166,7 @@ class TestAcceptance:
                 theta += math.pi
             # check_case3 raises if Im Phi dips below its error estimate or
             # changes sign anywhere on the sigma grid
-            m = check_case3(a, radius, theta, cfg=SCAN_CFG)
+            m = check_case3(a, radius, theta, tol=SCAN_CFG)
             worst_min = min(worst_min, m)
         elapsed = time.perf_counter() - t0
         ok = worst_min > 0.0 and elapsed < 120.0

@@ -73,6 +73,31 @@ class TestEval:
         assert out == ""
         assert "error" in err
 
+    def test_refusal_exit_code(self, capsys):
+        # non-finite sigma on the direct routes, and an integral past binary64
+        for argv in (["--sigma", "nan", "--z", "-1", "--method", "series"],
+                     ["--sigma", "nan", "--z", "1", "--method", "em"],
+                     ["--sigma", "200", "--z", "-1", "--method", "integral"]):
+            code, out, err = run_cli(capsys, "eval", "--a", "0.5", *argv)
+            assert code == 2
+            assert out == ""
+            assert "error" in err
+
+    def test_bad_tol_is_usage_error(self, capsys, tmp_path):
+        # --tol is checked when the arguments are parsed, so every method
+        # refuses it, including those that do not use it
+        runs = [["eval", "--sigma", "-0.5", "--a", "0.5", "--method", m]
+                for m in ("auto", "series", "integral", "fe", "em")]
+        runs.append(["scan", "--a-min", "0.5", "--a-max", "0.5", "--a-step",
+                     "0.1", "--z", "i", "--out", str(tmp_path / "x.csv")])
+        for argv in runs:
+            for tol in ("0", "-1e-9", "nan"):
+                with pytest.raises(SystemExit) as excinfo:
+                    main(argv + [f"--tol={tol}"])
+                assert excinfo.value.code == 2
+                assert "tol must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_pole_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--sigma", "1", "--a", "0.5",
                                "--z", "1")
@@ -152,25 +177,3 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.split()[3] == "EulerMaclaurin"
 
-
-class TestConfigFile:
-    def test_config_overrides(self, capsys, tmp_path):
-        cfgfile = tmp_path / "lerch.cfg"
-        cfgfile.write_text("tol = 1e-6\nmax_levels = 8\nn_max = 1024\n")
-        code, out, _ = run_cli(capsys, "eval", "--sigma", "-0.5", "--a", "0.5",
-                               "--z", "1", "--config", str(cfgfile))
-        assert code == 0
-        # flag beats file
-        code, out2, _ = run_cli(capsys, "eval", "--sigma", "-0.5", "--a", "0.5",
-                                "--z", "1", "--config", str(cfgfile),
-                                "--tol", "1e-12")
-        assert code == 0
-
-    def test_unknown_key_is_usage_error(self, capsys, tmp_path):
-        cfgfile = tmp_path / "lerch.cfg"
-        cfgfile.write_text("tol = 1e-6\nsplit_point = 2\n")
-        code, out, err = run_cli(capsys, "eval", "--sigma", "-0.5", "--a",
-                                 "0.5", "--z", "1", "--config", str(cfgfile))
-        assert code == 2
-        assert out == ""
-        assert "split_point" in err

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from lerchzeta import (ConditioningError, DomainError, Method, PoleError,
-                       QuadConfig, SeriesDivergenceError, WrongPathError,
-                       builtin_characters, dirichlet_L, evaluate, hurwitz_em,
-                       hurwitz_from_lerch, hurwitz_integral_neg,
+                       SeriesDivergenceError, WrongPathError,
+                       builtin_characters, check_case3, dirichlet_L, evaluate,
+                       hurwitz_em, hurwitz_from_lerch, hurwitz_integral_neg,
                        hurwitz_integral_pos, lerch_from_hurwitz, phi_fe_rhs,
                        phi_integral_neg, phi_integral_pos, phi_series,
-                       special_value, zeta_fe_rhs)
+                       scan_zeros, special_value, zeta_fe_rhs)
 
 PI2_6 = math.pi ** 2 / 6.0
 PI2_12 = math.pi ** 2 / 12.0
@@ -260,6 +260,14 @@ class TestPhiIntegrals:
         with pytest.raises(DomainError):
             phi_integral_neg(0.5, 0.5, -1.0 + 0j)
 
+    def test_outside_binary64_refused(self):
+        # the quadrature overflowed to inf (with a NaN estimate), and past
+        # sigma ~ 171.6 Gamma(sigma) itself overflows
+        with pytest.raises(DomainError):
+            phi_integral_pos(100.0, 0.01, -1.0)
+        with pytest.raises(DomainError):
+            phi_integral_pos(200.0, 0.5, -1.0)
+
 
 class TestDispatcher:
     def test_series_route(self):
@@ -275,7 +283,7 @@ class TestDispatcher:
     def test_zeta_above_one_meets_tol(self, sigma, ref):
         # every z = 1, sigma > 1 call takes Euler-Maclaurin; the 2e6-term
         # series missed tol = 1e-10 here by 1.4e-3 (1.5) and 2.3e-8 (2.2)
-        tol = QuadConfig().tol
+        tol = 1e-10
         res = evaluate(sigma, 0.37, 1.0)
         assert res.method is Method.EULER_MACLAURIN
         assert abs(res.value.real - ref) <= res.abs_err_estimate
@@ -330,10 +338,20 @@ class TestDispatcher:
             evaluate(0.5, 0.5, 0.0)
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            QuadConfig(tol=-1e-9)
-        with pytest.raises(DomainError):
-            QuadConfig(max_levels=2)
+        # tol is the one accuracy input; every route that takes it refuses
+        # a tol that is not positive
+        for tol in (0.0, -1e-9, math.nan):
+            for call in (lambda: evaluate(-0.5, 0.5, 1.0, tol),
+                         lambda: evaluate(0.0, 0.5, 1.0, tol),
+                         lambda: phi_series(2.0, 0.5, 0.5, tol),
+                         lambda: hurwitz_integral_pos(0.5, 0.5, tol),
+                         lambda: hurwitz_integral_neg(-0.5, 0.5, tol),
+                         lambda: phi_integral_pos(0.5, 0.5, -1.0, tol),
+                         lambda: phi_integral_neg(-0.5, 0.5, -1.0, tol),
+                         lambda: scan_zeros(0.5, 1.0, tol=tol),
+                         lambda: check_case3(0.5, 1.0, 1.0, tol=tol)):
+                with pytest.raises(DomainError):
+                    call()
 
     @pytest.mark.parametrize("sigma, z", [
         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
@@ -344,6 +362,16 @@ class TestDispatcher:
     def test_non_finite_input_rejected(self, sigma, z):
         with pytest.raises(DomainError):
             evaluate(sigma, 0.5, z)
+
+    @pytest.mark.parametrize("route, args", [
+        (phi_series, (math.nan, 0.5, -1.0)), (phi_series, (math.inf, 0.5, -1.0)),
+        (hurwitz_em, (math.nan, 0.5)), (hurwitz_em, (math.inf, 0.5)),
+        (hurwitz_em, (2.0, math.inf)),
+    ], ids=["series_nan", "series_inf", "em_nan", "em_inf", "em_a_inf"])
+    def test_non_finite_input_rejected_direct(self, route, args):
+        # these returned nan, inf or 0 instead of refusing
+        with pytest.raises(DomainError):
+            route(*args)
 
 
 _CHI4 = builtin_characters(4)[1]

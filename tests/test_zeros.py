@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from lerchzeta import (B2_ROOT_LOWER, B2_ROOT_UPPER, DomainError, QuadConfig,
+from lerchzeta import (B2_ROOT_LOWER, B2_ROOT_UPPER, DomainError,
                        Region, SignConstancyError, WrongPathError, check_case3,
                        classify, evaluate, run_suite, scan_zeros)
 
-FAST = QuadConfig(tol=1e-8)
+FAST = 1e-8
 
 
 class TestClassify:
@@ -48,47 +48,47 @@ class TestClassify:
 class TestScanZeros:
     def test_zero_exists_below_lower_root(self):
         # endpoint anchors: value 0.3 > 0 at sigma = 0, -B_2(0.2)/2 < 0 at -1
-        rep = scan_zeros(0.2, 1.0, cfg=FAST)
+        rep = scan_zeros(0.2, 1.0, tol=FAST)
         assert rep.value_at_zero == pytest.approx(0.3, abs=1e-15)
         assert rep.value_at_neg_one == pytest.approx(-1.0 / 300.0, abs=1e-15)
         assert rep.n_brackets >= 1
         assert len(rep.roots) == rep.n_brackets
 
     def test_no_zero_on_lower_band(self):
-        rep = scan_zeros(0.5, 1.0, cfg=FAST)
+        rep = scan_zeros(0.5, 1.0, tol=FAST)
         assert rep.n_brackets == 0
         assert rep.roots == ()
 
     def test_zero_for_z_minus_one_small_a(self):
-        rep = scan_zeros(0.1, -1.0, cfg=FAST)
+        rep = scan_zeros(0.1, -1.0, tol=FAST)
         assert rep.n_brackets >= 1
         for root, (lo, hi), res in zip(rep.roots, rep.brackets, rep.residuals):
             assert lo <= root <= hi
             assert -1.0 < root < 0.0
-            assert res <= max(1e-8, 10.0 * FAST.tol)
+            assert res <= max(1e-8, 10.0 * FAST)
 
     def test_boundary_case_endpoint_zero_no_interior_bracket(self):
         # (1-z)(1-a) = 1 exactly: Phi(-1, 1/2, -1) = 0 but no interior zero
-        rep = scan_zeros(0.5, -1.0, cfg=FAST)
+        rep = scan_zeros(0.5, -1.0, tol=FAST)
         assert rep.value_at_neg_one == 0.0
         assert rep.n_brackets == 0
 
     def test_series_cell(self):
-        rep = scan_zeros(0.3, 0.5, cfg=FAST)
+        rep = scan_zeros(0.3, 0.5, tol=FAST)
         assert rep.n_brackets == 0      # (1-0.5)(1-0.3) = 0.35 <= 1
 
     def test_agrees_with_classifier_spot(self):
         for a, z in ((0.15, 1.0), (0.45, 1.0), (0.65, 1.0), (0.85, 1.0),
                      (0.3, -1.0), (0.7, -1.0), (0.4, -0.5), (0.9, 0.9)):
             verdict = classify(a, z)
-            rep = scan_zeros(a, z, cfg=FAST)
+            rep = scan_zeros(a, z, tol=FAST)
             if verdict.tag is Region.ZERO_EXISTS:
                 assert rep.n_brackets >= 1, (a, z)
             else:
                 assert rep.n_brackets == 0, (a, z)
 
     def test_root_location_is_a_sign_change(self):
-        rep = scan_zeros(0.1, -1.0, cfg=FAST)
+        rep = scan_zeros(0.1, -1.0, tol=FAST)
         root = rep.roots[0]
         left = evaluate(root - 1e-4, 0.1, -1.0, FAST).value.real
         right = evaluate(root + 1e-4, 0.1, -1.0, FAST).value.real
@@ -113,18 +113,18 @@ class TestScanZeros:
                 if boundary is not None and abs(a - boundary) <= 0.0101:
                     continue
                 verdict = classify(a, z)
-                rep = scan_zeros(a, z, grid_step=0.005, cfg=FAST)
+                rep = scan_zeros(a, z, grid_step=0.005, tol=FAST)
                 expect = verdict.tag is Region.ZERO_EXISTS
                 assert (rep.n_brackets >= 1) == expect, (a, z, verdict)
 
 
 class TestCase3:
     def test_quarter_turn(self):
-        m = check_case3(0.5, 1.0, math.pi / 2, cfg=FAST)
+        m = check_case3(0.5, 1.0, math.pi / 2, tol=FAST)
         assert m > 0.0
 
     def test_lower_half_plane(self):
-        m = check_case3(1.0, 0.5, 4.0 * math.pi / 3.0, cfg=FAST)
+        m = check_case3(1.0, 0.5, 4.0 * math.pi / 3.0, tol=FAST)
         assert m > 0.0
 
     def test_conjugate_thetas_negate_imaginary_part(self):
@@ -146,7 +146,7 @@ class TestCase3:
 def sign_checks():
     # the "signs" suite: one check per band (sign kept above the error
     # estimate on a 10x10 grid) and one for both signs between the bands
-    results = run_suite("signs", FAST)
+    results = run_suite("signs")
     assert len(results) == 3
     return results
 

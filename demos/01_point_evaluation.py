@@ -14,7 +14,7 @@ print("  pi^2/6          :", 3.141592653589793 ** 2 / 6)
 print()
 
 print("zeta(-1/2) - no convergent series exists here")
-res = lz.hurwitz_integral_neg(-0.5, 1.0)
+res = lz.phi_integral(-0.5, 1.0, 1.0)
 print(f"  kernel integral : {res.value.real:.15f}  (err ~ {res.abs_err_estimate:.1e})")
 res = lz.hurwitz_em(-0.5, 1.0)
 print(f"  euler-maclaurin : {res.value.real:.15f}  (err ~ {res.abs_err_estimate:.1e})")

@@ -17,11 +17,10 @@ print(f"{'z':>22} {'sigma':>6} {'integral':>24} {'exp-sum':>24} {'|diff|':>9}")
 for z in zs:
     for sigma in sigmas:
         a = 0.4
+        lhs = lz.phi_integral(sigma, a, z).value
         if z == 1:
-            lhs = lz.hurwitz_integral_neg(sigma, a).value
             rhs = lz.zeta_fe_rhs(sigma, a).value
         else:
-            lhs = lz.phi_integral_neg(sigma, a, z).value
             rhs = lz.phi_fe_rhs(sigma, a, z).value
         print(f"{str(z):>22} {sigma:>6} {lhs.real:>24.16f} {rhs.real:>24.16f}"
               f" {abs(lhs - rhs):>9.1e}")

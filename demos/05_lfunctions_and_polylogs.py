@@ -22,7 +22,7 @@ print()
 
 print("polylogarithm at i from Hurwitz values: Li_s(i) = i Phi(s, 1, i)")
 li = lz.lerch_from_hurwitz(0.5, 1, 4).value
-phi = lz.phi_integral_pos(0.5, 1.0, 1j).value
+phi = lz.phi_integral(0.5, 1.0, 1j).value
 print(f"  lerch_from_hurwitz : {li:.15f}")
 print(f"  i * kernel integral: {1j * phi:.15f}")
 print()

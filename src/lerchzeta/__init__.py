@@ -6,19 +6,16 @@ L-function / polylogarithm identities.
 from .errors import (ConditioningError, DegreeOverflowError, DomainError,
                      LerchZetaError, PoleError, SeriesDivergenceError,
                      SignConstancyError, WrongPathError)
-from .evaluate import (EvalResult, Method, evaluate, hurwitz_em,
-                       hurwitz_integral_neg, hurwitz_integral_pos,
-                       phi_integral_neg, phi_integral_pos, phi_series,
-                       special_value)
+from .evaluate import (EvalResult, Method, evaluate, hurwitz_em, phi_integral,
+                       phi_series, special_value)
 from .functional_eq import (phi_fe_rhs, verify_kernel_expansion_z1,
                             verify_kernel_expansion_zne1,
                             verify_mellin_identity, zeta_fe_rhs)
 from .identities import (CharacterTable, SixRelationsReport,
                          builtin_characters, dirichlet_L, dirichlet_L_series,
-                         gauss_sum, hurwitz_from_lerch, lerch_from_hurwitz,
-                         load_character_csv, polylog_series,
-                         verify_six_relations)
-from .kernels import case3_kernels, kernel_G, kernel_Gz, kernel_H, sign_fn_g
+                         gauss_sum, lerch_from_hurwitz, load_character_csv,
+                         polylog_series, verify_six_relations)
+from .kernels import kernel_G, kernel_Gz, kernel_H
 from .quadrature import QuadResult, exp_sinh, tanh_sinh
 from .special import (bernoulli_number, bernoulli_numbers, bernoulli_poly,
                       gamma_real, principal_log)
@@ -36,14 +33,13 @@ __all__ = [
     "SeriesDivergenceError", "SignConstancyError", "SixRelationsReport",
     "WrongPathError", "ZeroReport",
     "bernoulli_number", "bernoulli_numbers", "bernoulli_poly",
-    "builtin_characters", "case3_kernels", "check_case3", "classify",
+    "builtin_characters", "check_case3", "classify",
     "dirichlet_L", "dirichlet_L_series", "evaluate",
-    "exp_sinh", "gamma_real", "gauss_sum", "hurwitz_em", "hurwitz_from_lerch",
-    "hurwitz_integral_neg", "hurwitz_integral_pos", "kernel_G",
+    "exp_sinh", "gamma_real", "gauss_sum", "hurwitz_em", "kernel_G",
     "kernel_Gz", "kernel_H", "lerch_from_hurwitz", "load_character_csv",
-    "phi_fe_rhs", "phi_integral_neg", "phi_integral_pos", "phi_series",
+    "phi_fe_rhs", "phi_integral", "phi_series",
     "polylog_series", "principal_log", "run_suite", "scan_zeros",
-    "sign_fn_g", "special_value", "suite_names", "tanh_sinh",
+    "special_value", "suite_names", "tanh_sinh",
     "verify_kernel_expansion_z1", "verify_kernel_expansion_zne1",
     "verify_mellin_identity", "verify_six_relations",
     "zeta_fe_rhs",

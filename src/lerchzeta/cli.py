@@ -17,9 +17,9 @@ or "unit:<theta>" for e^{i theta}; eval's --z defaults to 1, and the scan's
 1e-10, must be positive) is the absolute accuracy target; the scan's --tol
 is one tolerance for the values and the roots: each value is evaluated to
 it and each root is bisected to it.  Exit codes: 0 success, 1 check failure,
-2 usage or domain error.  `--method integral` runs the kernel integral for
-the given sigma and z; `fe` and `em` have fixed truncations and ignore
---tol.  Diagnostics go to stderr.
+2 usage or domain error.  `--method integral` runs phi_integral, the
+Mellin integral, for the given sigma and z; `fe` and `em` have fixed
+truncations and ignore --tol.  Diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import math
 import sys
 
 from .errors import LerchZetaError
-from .evaluate import _mellin, evaluate, hurwitz_em, phi_series
+from .evaluate import evaluate, hurwitz_em, phi_integral, phi_series
 from .functional_eq import phi_fe_rhs, zeta_fe_rhs
 from .kernels import _check_tol
 from .verify import run_suite, suite_names
@@ -76,7 +76,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     elif method == "series":
         res = phi_series(sigma, a, z, tol)
     elif method == "integral":
-        res = _mellin(sigma, a, z, tol)
+        res = phi_integral(sigma, a, z, tol)
     elif method == "fe":
         res = zeta_fe_rhs(sigma, a) if z == 1 else phi_fe_rhs(sigma, a, z)
     else:  # em

@@ -6,12 +6,9 @@ Routes:
   * phi_series            -- the defining Dirichlet series (sigma > 1, or any
                              sigma when |z| < 1), plain truncation with an
                              honest tail and rounding bound.
-  * hurwitz_integral_pos  -- zeta(sigma,a) on 0 < sigma < 1 from
-                             Gamma(s) zeta(s,a) = int_0^inf H(a,x) x^{s-1} dx.
-  * hurwitz_integral_neg  -- zeta(sigma,a) on -1 < sigma < 0 from the same
-                             integral with the G kernel.
-  * phi_integral_pos/neg  -- the z != 1 analogues with the e^{(1-a)x}/(e^x-z)
-                             and G_z kernels.
+  * phi_integral          -- the analytic continuation on -1 < sigma < 0
+                             and 0 < sigma (below 1 when z = 1, where the
+                             value is zeta(sigma,a)) from a Mellin integral.
   * special_value         -- closed forms at sigma = 0 and sigma = -1.
   * hurwitz_em            -- Euler-Maclaurin for zeta(sigma,a), any real
                              sigma != 1; the z = 1 route for sigma > 1, and
@@ -22,8 +19,7 @@ Routes:
 The series and integral routes take one accuracy input, the absolute
 target tol (default 1e-10, must be positive); the rest are fixed.
 
-The four integral routes check their own domain and share one core,
-_mellin, which evaluates Gamma(sigma) Phi = int_0^inf K(x) x^{sigma-1} dx
+phi_integral evaluates Gamma(sigma) Phi = int_0^inf K(x) x^{sigma-1} dx
 with the kernel K picked from (z == 1, sign of sigma), split at x = 1:
 
   int_0^1   near x = 0 the factor x^{sigma-1} is too singular for a binary64
@@ -51,7 +47,7 @@ from math import fsum
 import numpy as np
 
 from .errors import (ConditioningError, DomainError, PoleError,
-                     SeriesDivergenceError, WrongPathError)
+                     SeriesDivergenceError)
 from .kernels import (_check_a, _check_tol, _check_z, gz_taylor_coeffs,
                       h_series_coeffs, kernel_G, kernel_Gz, kernel_H)
 from .quadrature import exp_sinh, tanh_sinh
@@ -63,10 +59,7 @@ __all__ = [
     "phi_series",
     "special_value",
     "hurwitz_em",
-    "hurwitz_integral_pos",
-    "hurwitz_integral_neg",
-    "phi_integral_pos",
-    "phi_integral_neg",
+    "phi_integral",
     "evaluate",
 ]
 
@@ -274,7 +267,8 @@ def hurwitz_em(sigma: float, a: float) -> EvalResult:
 # integral routes
 # --------------------------------------------------------------------------
 
-def _mellin(sigma: float, a: float, z: complex, tol: float) -> EvalResult:
+def phi_integral(sigma: float, a: float, z: complex,
+                 tol: float = 1e-10) -> EvalResult:
     """Phi(sigma, a, z) from Gamma(sigma) Phi = int_0^inf K(x) x^{sigma-1} dx
     on -1 < sigma < 0 and on 0 < sigma (below 1 when z = 1).
 
@@ -285,19 +279,22 @@ def _mellin(sigma: float, a: float, z: complex, tol: float) -> EvalResult:
     (z != 1, sigma < 0) and the bare e^{(1-a)x}/(e^x - z) (z != 1,
     sigma > 0).  The subtracted parts come back in closed form over
     [1, inf); the layout is the one in the module docstring.  tol is the
-    absolute target.  A value or estimate outside binary64 is DomainError.
+    absolute target.  0 < |1 - z| < 1e-3 is ConditioningError; a value or
+    estimate outside binary64 is DomainError.
     """
+    sigma = float(sigma)
     a = _check_a(a)
     z = _check_z(z)
     tol = _check_tol(tol)
     top = 1.0 if z == 1 else math.inf
     if not (-1.0 < sigma < 0.0 or 0.0 < sigma < top):
-        raise DomainError(f"the integral routes need sigma in (-1,0) u "
+        raise DomainError(f"the integral route needs sigma in (-1,0) u "
                           f"(0,{top:g}) at z = {z}, got {sigma}")
     if z != 1 and abs(1.0 - z) < _MIN_ONE_MINUS_Z:
         raise ConditioningError(
             f"|1 - z| = {abs(1.0 - z):.2e} < {_MIN_ONE_MINUS_Z}: the kernel "
             "magnitude ~ 1/|1-z| makes the integral paths ill-conditioned")
+    gam = gamma_real(sigma)   # refuses sigma past ~171.6 before any work
     neg = sigma < 0.0
     real_z = z.imag == 0.0
     zz: float | complex = z.real if real_z else z
@@ -337,13 +334,14 @@ def _mellin(sigma: float, a: float, z: complex, tol: float) -> EvalResult:
         terms.append(const * delta ** sigma / sigma)
     head = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
     qtol = 0.25 * tol
-    mid = tanh_sinh(lambda x: kernel(x) * x ** (sigma - 1.0),
-                    delta, s, tol=qtol, max_levels=_MAX_LEVELS)
-    tail = exp_sinh(lambda x: np.exp((sigma - 1.0) * np.log(x) - a * x)
-                    / tail_den(x),
-                    s, tol=qtol, max_levels=_MAX_LEVELS)
+    # an overflow ends as inf or nan, which the finiteness check below refuses
+    with np.errstate(over="ignore"):
+        mid = tanh_sinh(lambda x: kernel(x) * x ** (sigma - 1.0),
+                        delta, s, tol=qtol, max_levels=_MAX_LEVELS)
+        tail = exp_sinh(lambda x: np.exp((sigma - 1.0) * np.log(x) - a * x)
+                        / tail_den(x),
+                        s, tol=qtol, max_levels=_MAX_LEVELS)
     pieces = (head, mid.value, tail.value, corr)
-    gam = gamma_real(sigma)
     re = fsum(p.real for p in pieces) / gam
     im = fsum(p.imag for p in pieces) / gam
     value = complex(re, 0.0) if real_z else complex(re, im)
@@ -356,49 +354,6 @@ def _mellin(sigma: float, a: float, z: complex, tol: float) -> EvalResult:
     else:
         method = Method.INTEGRAL_NEG if neg else Method.INTEGRAL_POS
     return EvalResult(value, float(err), method)
-
-
-def hurwitz_integral_pos(sigma: float, a: float,
-                         tol: float = 1e-10) -> EvalResult:
-    """zeta(sigma,a) for 0 < sigma < 1 via the H-kernel integral."""
-    sigma = float(sigma)
-    if not 0.0 < sigma < 1.0:
-        raise DomainError(f"hurwitz_integral_pos requires sigma in (0,1), got {sigma}")
-    return _mellin(sigma, a, 1.0, tol)
-
-
-def hurwitz_integral_neg(sigma: float, a: float,
-                         tol: float = 1e-10) -> EvalResult:
-    """zeta(sigma,a) for -1 < sigma < 0 via the G-kernel integral; the
-    output is exactly real."""
-    sigma = float(sigma)
-    if not -1.0 < sigma < 0.0:
-        raise DomainError(f"hurwitz_integral_neg requires sigma in (-1,0), got {sigma}")
-    return _mellin(sigma, a, 1.0, tol)
-
-
-def phi_integral_pos(sigma: float, a: float, z: complex,
-                     tol: float = 1e-10) -> EvalResult:
-    """Phi(sigma,a,z) for sigma > 0, z != 1, via
-    Gamma(s) Phi = int_0^inf x^{s-1} e^{(1-a)x}/(e^x - z) dx."""
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise DomainError(f"phi_integral_pos requires sigma > 0, got {sigma}")
-    if complex(z) == 1:
-        raise WrongPathError("z = 1 belongs to the hurwitz_integral_* routes")
-    return _mellin(sigma, a, z, tol)
-
-
-def phi_integral_neg(sigma: float, a: float, z: complex,
-                     tol: float = 1e-10) -> EvalResult:
-    """Phi(sigma,a,z) for -1 < sigma < 0, z != 1, via
-    Gamma(s) Phi = int_0^inf G_z(a,x) x^{s-1} dx."""
-    sigma = float(sigma)
-    if not -1.0 < sigma < 0.0:
-        raise DomainError(f"phi_integral_neg requires sigma in (-1,0), got {sigma}")
-    if complex(z) == 1:
-        raise WrongPathError("z = 1 belongs to the hurwitz_integral_* routes")
-    return _mellin(sigma, a, z, tol)
 
 
 # --------------------------------------------------------------------------
@@ -434,4 +389,4 @@ def evaluate(sigma: float, a: float, z: complex,
             return hurwitz_em(sigma, a)
     elif abs(z) <= 0.9 or sigma >= 1.5:
         return phi_series(sigma, a, z, tol=tol)
-    return _mellin(sigma, a, z, tol)
+    return phi_integral(sigma, a, z, tol)

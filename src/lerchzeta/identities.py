@@ -51,7 +51,6 @@ __all__ = [
     "dirichlet_L_series",
     "polylog_series",
     "lerch_from_hurwitz",
-    "hurwitz_from_lerch",
     "verify_six_relations",
 ]
 
@@ -285,27 +284,6 @@ def lerch_from_hurwitz(sigma: float, r: int, q: int) -> EvalResult:
     parts = [hurwitz_em(sigma, n / q) for n in range(1, q + 1)]
     scale = q ** (-sigma)
     terms = [_unit_root(r * n, q) * parts[n - 1].value for n in range(1, q + 1)]
-    value = scale * complex(fsum(t.real for t in terms),
-                            fsum(t.imag for t in terms))
-    err = scale * fsum(p.abs_err_estimate for p in parts)
-    return EvalResult(value, err, Method.EULER_MACLAURIN)
-
-
-def hurwitz_from_lerch(sigma: float, r: int, q: int) -> EvalResult:
-    """zeta(sigma, r/q) = q^{sigma-1} sum_{k=1}^q e^{-2 pi i k r/q}
-    Li_sigma(e^{2 pi i k/q})  (relation R3).
-
-    Restricted to sigma > 1 because the k = q term is Li_sigma(1) =
-    zeta(sigma)."""
-    sigma = float(sigma)
-    if not sigma > 1.0:
-        raise DomainError("hurwitz_from_lerch needs sigma > 1 "
-                          "(the k = q term is zeta(sigma))")
-    if q < 1 or not 1 <= r <= q:
-        raise DomainError("need 1 <= r <= q")
-    parts = [lerch_from_hurwitz(sigma, k, q) for k in range(1, q + 1)]
-    scale = q ** (sigma - 1.0)
-    terms = [_unit_root(-k * r, q) * parts[k - 1].value for k in range(1, q + 1)]
     value = scale * complex(fsum(t.real for t in terms),
                             fsum(t.imag for t in terms))
     err = scale * fsum(p.abs_err_estimate for p in parts)

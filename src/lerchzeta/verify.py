@@ -4,7 +4,7 @@ every route runs at its default tol of 1e-10.  The CLI `verify` subcommand
 and the acceptance tests both drive these.
 
 Suites:
-  fe          integral paths vs the exponential-sum functional equations on
+  fe          phi_integral vs the exponential-sum functional equations on
               the sigma x a grid crossed with z in {1, -1, i, 1/2,
               e^{2 pi i/3}}, residual <= 1e-6 per cell; conjugation sanity
               of the z != 1 sum.
@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .evaluate import hurwitz_integral_neg, phi_integral_neg
+from .evaluate import phi_integral
 from .functional_eq import (phi_fe_rhs, verify_kernel_expansion_z1,
                             verify_kernel_expansion_zne1, verify_mellin_identity,
                             zeta_fe_rhs)
@@ -71,11 +71,10 @@ def suite_fe() -> list[CheckResult]:
         worst = 0.0
         for sig in FE_SIGMAS:
             for a in FE_AS:
+                lhs = phi_integral(sig, a, z).value
                 if z == 1:
-                    lhs = hurwitz_integral_neg(sig, a).value
                     rhs = zeta_fe_rhs(sig, a).value
                 else:
-                    lhs = phi_integral_neg(sig, a, z).value
                     rhs = phi_fe_rhs(sig, a, z).value
                 worst = max(worst, abs(lhs - rhs))
         results.append(CheckResult(f"functional equation, {zname}",
@@ -102,7 +101,7 @@ def suite_signs() -> list[CheckResult]:
         margin = math.inf
         for a in a_grid:
             for sig in sig_grid:
-                res = hurwitz_integral_neg(float(sig), float(a))
+                res = phi_integral(sig, a, 1.0)
                 margin = min(margin, want * res.value.real - res.abs_err_estimate)
         results.append(CheckResult(
             f"zeta sign constancy, {band} band "
@@ -110,7 +109,7 @@ def suite_signs() -> list[CheckResult]:
             margin > 0.0, margin, 0.0,
             note="min over 10x10 grid of sign*value - err"))
     # between the bands both signs occur as sigma sweeps (a = 0.6)
-    vals = [hurwitz_integral_neg(float(s), 0.6).value.real
+    vals = [phi_integral(s, 0.6, 1.0).value.real
             for s in sig_grid]
     vals += [0.5 - 0.6, -0.5 * (0.6 ** 2 - 0.6 + 1.0 / 6.0)]  # sigma = 0, -1
     has_both = (min(vals) < 0.0) and (max(vals) > 0.0)

@@ -73,6 +73,7 @@ class TestEval:
         assert out == ""
         assert "error" in err
 
+    @pytest.mark.filterwarnings("error")
     def test_refusal_exit_code(self, capsys):
         # non-finite sigma on the direct routes, and an integral past binary64
         for argv in (["--sigma", "nan", "--z", "-1", "--method", "series"],

@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 
 from lerchzeta import (ConditioningError, DomainError, Method, PoleError,
-                       SeriesDivergenceError, WrongPathError,
-                       builtin_characters, check_case3, dirichlet_L, evaluate,
-                       hurwitz_em, hurwitz_from_lerch, hurwitz_integral_neg,
-                       hurwitz_integral_pos, lerch_from_hurwitz, phi_fe_rhs,
-                       phi_integral_neg, phi_integral_pos, phi_series,
-                       scan_zeros, special_value, zeta_fe_rhs)
+                       SeriesDivergenceError, builtin_characters, check_case3,
+                       dirichlet_L, evaluate, hurwitz_em, lerch_from_hurwitz,
+                       phi_fe_rhs, phi_integral, phi_series, scan_zeros,
+                       special_value, zeta_fe_rhs)
 
 PI2_6 = math.pi ** 2 / 6.0
 PI2_12 = math.pi ** 2 / 12.0
@@ -146,27 +144,27 @@ class TestHurwitzEM:
 
 class TestHurwitzIntegrals:
     def test_pos_matches_em(self):
-        assert hurwitz_integral_pos(0.5, 1.0).value.real == pytest.approx(
+        assert phi_integral(0.5, 1.0, 1.0).value.real == pytest.approx(
             ZETA_HALF, abs=1e-11)
-        got = hurwitz_integral_pos(0.5, 0.5).value.real
+        got = phi_integral(0.5, 0.5, 1.0).value.real
         # zeta(s, 1/2) = (2^s - 1) zeta(s)
         assert got == pytest.approx((2 ** 0.5 - 1.0) * ZETA_HALF, abs=1e-11)
         assert got == pytest.approx(ZETA_HALF_HALF, abs=1e-11)
-        assert hurwitz_integral_pos(0.5, 0.7).value.real == pytest.approx(
+        assert phi_integral(0.5, 0.7, 1.0).value.real == pytest.approx(
             ZETA_HALF_07, abs=1e-11)
         # shift identity against the oracle: zeta(s,1) - zeta(s,2) = 1
-        diff = (hurwitz_integral_pos(0.5, 1.0).value.real
+        diff = (phi_integral(0.5, 1.0, 1.0).value.real
                 - hurwitz_em(0.5, 2.0).value.real)
         assert diff == pytest.approx(1.0, abs=1e-10)
 
     def test_neg_matches_em(self):
-        assert hurwitz_integral_neg(-0.5, 1.0).value.real == pytest.approx(
+        assert phi_integral(-0.5, 1.0, 1.0).value.real == pytest.approx(
             ZETA_MHALF, abs=1e-11)
-        assert hurwitz_integral_neg(-0.5, 0.25).value.real == pytest.approx(
+        assert phi_integral(-0.5, 0.25, 1.0).value.real == pytest.approx(
             ZETA_MHALF_QUARTER, abs=1e-11)
 
     def test_neg_sign_on_lower_band(self):
-        res = hurwitz_integral_neg(-0.5, 0.5)
+        res = phi_integral(-0.5, 0.5, 1.0)
         assert res.value.real > 0.0
         assert res.value.real == pytest.approx(ZETA_MHALF_HALF, abs=1e-11)
 
@@ -174,9 +172,9 @@ class TestHurwitzIntegrals:
         # zeta(sigma,a) -> -B_2(a)/2 as sigma -> -1+
         a = 0.3
         want = -0.5 * (a * a - a + 1.0 / 6.0)
-        got = hurwitz_integral_neg(-0.999, a).value.real
+        got = phi_integral(-0.999, a, 1.0).value.real
         assert abs(got - want) <= 5e-3
-        got_closer = hurwitz_integral_neg(-0.9999, a).value.real
+        got_closer = phi_integral(-0.9999, a, 1.0).value.real
         assert abs(got_closer - want) < abs(got - want)
 
     def test_oracle_agreement_sample(self):
@@ -184,41 +182,39 @@ class TestHurwitzIntegrals:
         for _ in range(20):
             a = float(rng.uniform(0.05, 1.0))
             sigma = float(rng.uniform(0.02, 0.98))
-            d1 = abs(hurwitz_integral_pos(sigma, a).value.real
+            d1 = abs(phi_integral(sigma, a, 1.0).value.real
                      - hurwitz_em(sigma, a).value.real)
-            d2 = abs(hurwitz_integral_neg(-sigma, a).value.real
+            d2 = abs(phi_integral(-sigma, a, 1.0).value.real
                      - hurwitz_em(-sigma, a).value.real)
             assert max(d1, d2) <= 1e-10
 
     def test_real_output(self):
-        assert hurwitz_integral_neg(-0.5, 0.5).value.imag == 0.0
-        assert hurwitz_integral_pos(0.5, 0.5).value.imag == 0.0
+        assert phi_integral(-0.5, 0.5, 1.0).value.imag == 0.0
+        assert phi_integral(0.5, 0.5, 1.0).value.imag == 0.0
 
     def test_domains(self):
         with pytest.raises(DomainError):
-            hurwitz_integral_pos(1.5, 0.5)
+            phi_integral(1.5, 0.5, 1.0)
         with pytest.raises(DomainError):
-            hurwitz_integral_neg(0.5, 0.5)
-        with pytest.raises(DomainError):
-            hurwitz_integral_neg(-0.5, 1.5)
+            phi_integral(-0.5, 1.5, 1.0)
 
 
 class TestPhiIntegrals:
     def test_pos_known_values(self):
-        assert phi_integral_pos(2.0, 1.0, -1.0 + 0j).value.real == pytest.approx(
+        assert phi_integral(2.0, 1.0, -1.0 + 0j).value.real == pytest.approx(
             PI2_12, abs=1e-11)
-        res = phi_integral_pos(0.5, 0.3, 0.5 + 0j)
+        res = phi_integral(0.5, 0.3, 0.5 + 0j)
         assert res.value.real == pytest.approx(PHI_05_03_05, abs=1e-10)
-        got = phi_integral_pos(0.5, 0.3, 1j).value
+        got = phi_integral(0.5, 0.3, 1j).value
         assert abs(got - PHI_05_03_I) <= 1e-10
 
     def test_neg_known_values(self):
-        res = phi_integral_neg(-0.5, 0.5, 0.5 + 0j)
+        res = phi_integral(-0.5, 0.5, 0.5 + 0j)
         assert res.value.real == pytest.approx(PHI_M05_05_05, abs=1e-10)
-        res = phi_integral_neg(-0.5, 0.5, -1.0 + 0j)
+        res = phi_integral(-0.5, 0.5, -1.0 + 0j)
         assert res.value.real == pytest.approx(PHI_M05_05_M1, abs=1e-10)
         assert res.value.real > 0.0      # (1-a)(1-z) = 1 boundary: positive
-        res = phi_integral_neg(-0.5, 0.1, -1.0 + 0j)
+        res = phi_integral(-0.5, 0.1, -1.0 + 0j)
         assert res.value.real == pytest.approx(PHI_M05_01_M1, abs=1e-10)
         assert res.value.real < 0.0      # participates in a sign change
 
@@ -233,40 +229,34 @@ class TestPhiIntegrals:
                 continue
             sp = float(rng.uniform(0.05, 0.95))
             ref_p = phi_series(sp, a, z, tol=1e-13).value
-            assert abs(phi_integral_pos(sp, a, z).value - ref_p) <= 1e-10
+            assert abs(phi_integral(sp, a, z).value - ref_p) <= 1e-10
             sn = -float(rng.uniform(0.05, 0.95))
             ref_n = phi_series(sn, a, z, tol=1e-13).value
-            assert abs(phi_integral_neg(sn, a, z).value - ref_n) <= 1e-10
+            assert abs(phi_integral(sn, a, z).value - ref_n) <= 1e-10
 
     def test_conjugate_symmetry(self):
         for (s, a, z) in ((-0.5, 0.5, 1j), (0.5, 0.3, complex(0.2, 0.95)),
                           (-0.3, 0.8, complex(-0.6, 0.7))):
-            f = phi_integral_neg if s < 0 else phi_integral_pos
-            v = f(s, a, z).value
-            vc = f(s, a, z.conjugate()).value
+            v = phi_integral(s, a, z).value
+            vc = phi_integral(s, a, z.conjugate()).value
             assert abs(vc - v.conjugate()) <= 1e-12
 
     def test_real_z_exactly_real(self):
-        assert phi_integral_neg(-0.5, 0.5, -1.0 + 0j).value.imag == 0.0
-        assert phi_integral_pos(0.5, 0.5, -1.0 + 0j).value.imag == 0.0
+        assert phi_integral(-0.5, 0.5, -1.0 + 0j).value.imag == 0.0
+        assert phi_integral(0.5, 0.5, -1.0 + 0j).value.imag == 0.0
 
     def test_wrong_path_and_conditioning(self):
-        with pytest.raises(WrongPathError):
-            phi_integral_pos(0.5, 0.5, 1.0 + 0j)
-        with pytest.raises(WrongPathError):
-            phi_integral_neg(-0.5, 0.5, 1.0 + 0j)
         with pytest.raises(ConditioningError):
-            phi_integral_neg(-0.5, 0.5, complex(1.0 - 1e-4, 0.0))
-        with pytest.raises(DomainError):
-            phi_integral_neg(0.5, 0.5, -1.0 + 0j)
+            phi_integral(-0.5, 0.5, complex(1.0 - 1e-4, 0.0))
 
+    @pytest.mark.filterwarnings("error")
     def test_outside_binary64_refused(self):
-        # the quadrature overflowed to inf (with a NaN estimate), and past
-        # sigma ~ 171.6 Gamma(sigma) itself overflows
+        # the quadrature overflows to inf (with a NaN estimate), and past
+        # sigma ~ 171.6 Gamma(sigma) itself overflows; neither may warn
         with pytest.raises(DomainError):
-            phi_integral_pos(100.0, 0.01, -1.0)
+            phi_integral(100.0, 0.01, -1.0)
         with pytest.raises(DomainError):
-            phi_integral_pos(200.0, 0.5, -1.0)
+            phi_integral(200.0, 0.5, -1.0)
 
 
 class TestDispatcher:
@@ -344,10 +334,10 @@ class TestDispatcher:
             for call in (lambda: evaluate(-0.5, 0.5, 1.0, tol),
                          lambda: evaluate(0.0, 0.5, 1.0, tol),
                          lambda: phi_series(2.0, 0.5, 0.5, tol),
-                         lambda: hurwitz_integral_pos(0.5, 0.5, tol),
-                         lambda: hurwitz_integral_neg(-0.5, 0.5, tol),
-                         lambda: phi_integral_pos(0.5, 0.5, -1.0, tol),
-                         lambda: phi_integral_neg(-0.5, 0.5, -1.0, tol),
+                         lambda: phi_integral(0.5, 0.5, 1.0, tol),
+                         lambda: phi_integral(-0.5, 0.5, 1.0, tol),
+                         lambda: phi_integral(0.5, 0.5, -1.0, tol),
+                         lambda: phi_integral(-0.5, 0.5, -1.0, tol),
                          lambda: scan_zeros(0.5, 1.0, tol=tol),
                          lambda: check_case3(0.5, 1.0, 1.0, tol=tol)):
                 with pytest.raises(DomainError):
@@ -382,21 +372,19 @@ _CHI4 = builtin_characters(4)[1]
     lambda: phi_series(2.0, 0.3, 1j),
     lambda: phi_series(-0.5, 0.3, 0.5),
     lambda: hurwitz_em(-0.5, 0.3),
-    lambda: hurwitz_integral_pos(0.5, 0.3),
-    lambda: hurwitz_integral_neg(-0.5, 0.3),
-    lambda: phi_integral_pos(0.5, 0.3, 1j),
-    lambda: phi_integral_pos(0.5, 0.3, -1.0),
-    lambda: phi_integral_neg(-0.5, 0.3, 1j),
-    lambda: phi_integral_neg(-0.5, 0.3, 0.5),
+    lambda: phi_integral(0.5, 0.3, 1.0),
+    lambda: phi_integral(-0.5, 0.3, 1.0),
+    lambda: phi_integral(0.5, 0.3, 1j),
+    lambda: phi_integral(0.5, 0.3, -1.0),
+    lambda: phi_integral(-0.5, 0.3, 1j),
+    lambda: phi_integral(-0.5, 0.3, 0.5),
     lambda: zeta_fe_rhs(-0.5, 0.3),
     lambda: phi_fe_rhs(-0.5, 0.3, 1j),
     lambda: dirichlet_L(-0.5, _CHI4),
     lambda: lerch_from_hurwitz(2.5, 1, 4),
-    lambda: hurwitz_from_lerch(2.5, 1, 4),
 ], ids=["special", "series_unit", "series_disk", "em", "hurwitz_pos",
         "hurwitz_neg", "phi_pos_unit", "phi_pos_real", "phi_neg_unit",
-        "phi_neg_real", "zeta_fe", "phi_fe", "dirichlet_L", "lerch_from_hurwitz",
-        "hurwitz_from_lerch"])
+        "phi_neg_real", "zeta_fe", "phi_fe", "dirichlet_L", "lerch_from_hurwitz"])
 def test_results_hold_plain_python_scalars(route):
     r = route()
     assert type(r.value) is complex

@@ -7,9 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from lerchzeta import (DomainError, Method, hurwitz_em,
-                       hurwitz_integral_neg, phi_fe_rhs, phi_integral_neg,
-                       phi_series, verify_kernel_expansion_z1,
+from lerchzeta import (DomainError, Method, hurwitz_em, phi_fe_rhs,
+                       phi_integral, phi_series, verify_kernel_expansion_z1,
                        verify_kernel_expansion_zne1, verify_mellin_identity,
                        zeta_fe_rhs)
 from lerchzeta.kernels import kernel_G, kernel_Gz
@@ -17,7 +16,7 @@ from lerchzeta.kernels import kernel_G, kernel_Gz
 
 class TestZetaFE:
     def test_matches_integral_path(self):
-        lhs = hurwitz_integral_neg(-0.5, 0.5).value
+        lhs = phi_integral(-0.5, 0.5, 1.0).value
         rhs = zeta_fe_rhs(-0.5, 0.5).value
         assert abs(lhs - rhs) <= 1e-6
 
@@ -51,7 +50,7 @@ class TestZetaFE:
 
 class TestPhiFE:
     def test_matches_integral_path_minus_one(self):
-        lhs = phi_integral_neg(-0.5, 0.5, -1.0 + 0j).value
+        lhs = phi_integral(-0.5, 0.5, -1.0 + 0j).value
         rhs = phi_fe_rhs(-0.5, 0.5, -1.0 + 0j).value
         assert abs(lhs - rhs) <= 1e-6
 
@@ -61,7 +60,7 @@ class TestPhiFE:
         assert abs(lhs - rhs) <= 1e-6
 
     def test_matches_integral_path_i(self):
-        lhs = phi_integral_neg(-0.5, 0.3, 1j).value
+        lhs = phi_integral(-0.5, 0.3, 1j).value
         rhs = phi_fe_rhs(-0.5, 0.3, 1j).value
         assert abs(lhs - rhs) <= 1e-6
 

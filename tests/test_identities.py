@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from lerchzeta import (DomainError, PoleError, builtin_characters, dirichlet_L,
-                       dirichlet_L_series, gauss_sum, hurwitz_em,
-                       hurwitz_from_lerch, lerch_from_hurwitz,
-                       load_character_csv, phi_integral_pos, polylog_series,
+                       dirichlet_L_series, gauss_sum, lerch_from_hurwitz,
+                       load_character_csv, phi_integral, polylog_series,
                        verify_six_relations)
 
 CATALAN = 0.9159655941772190   # 1 - 1/9 + 1/25 - ..., frozen from mpmath
@@ -140,7 +139,7 @@ class TestLerchHurwitzBridges:
     def test_cross_module_polylog_identity(self):
         # Li_s(z) = z Phi(s, 1, z) at z = i, s = 1/2
         li = lerch_from_hurwitz(0.5, 1, 4).value
-        phi = phi_integral_pos(0.5, 1.0, 1j).value
+        phi = phi_integral(0.5, 1.0, 1j).value
         assert abs(li - 1j * phi) <= 1e-9
 
     def test_polylog_series_agrees(self):
@@ -149,28 +148,7 @@ class TestLerchHurwitzBridges:
             bridge = lerch_from_hurwitz(2.5, r, q).value
             assert abs(direct - bridge) <= 1e-9
 
-    def test_hurwitz_from_lerch_halves(self):
-        res = hurwitz_from_lerch(2.0, 1, 2)
-        assert res.value.real == pytest.approx(math.pi ** 2 / 2.0, abs=1e-9)
-
-    def test_hurwitz_from_lerch_q1(self):
-        assert hurwitz_from_lerch(3.0, 1, 1).value.real == pytest.approx(
-            1.2020569031595943, abs=1e-12)
-
-    def test_hurwitz_from_lerch_vs_em(self):
-        got = hurwitz_from_lerch(2.5, 2, 3).value.real
-        assert abs(got - hurwitz_em(2.5, 2.0 / 3.0).value.real) <= 1e-9
-
-    def test_orthogonality_roundtrip(self):
-        for q in (2, 3, 4, 6):
-            for r in range(1, q + 1):
-                got = hurwitz_from_lerch(2.5, r, q).value
-                want = hurwitz_em(2.5, r / q).value.real
-                assert abs(got - want) <= 1e-9
-
     def test_sigma_restriction(self):
-        with pytest.raises(DomainError):
-            hurwitz_from_lerch(0.5, 1, 2)
         with pytest.raises(DomainError):
             lerch_from_hurwitz(0.5, 2, 2)   # r = q needs sigma > 1
 

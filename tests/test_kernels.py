@@ -1,15 +1,15 @@
 """Kernel tests: series/direct consistency, frozen spot values (50-digit
-mpmath), sign behaviour on the classification bands, and the non-real-z
-comparison functions.
+mpmath), sign behaviour on the classification bands, and the sign of
+Im G_z for non-real z.
 """
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from lerchzeta import (DomainError, WrongPathError, case3_kernels, kernel_G,
-                       kernel_Gz, kernel_H, sign_fn_g)
-from lerchzeta.kernels import gz_taylor_coeffs, h_direct, h_series
+from lerchzeta import DomainError, WrongPathError, kernel_G, kernel_Gz, kernel_H
+from lerchzeta.kernels import gz_taylor_coeffs, h_series_coeffs
 
 B2M = (3.0 - math.sqrt(3.0)) / 6.0
 B2P = (3.0 + math.sqrt(3.0)) / 6.0
@@ -26,10 +26,16 @@ class TestKernelH:
         assert kernel_H(0.25, 2.0) == pytest.approx(0.20146340882625441, abs=1e-15)
 
     def test_series_direct_straddle(self):
-        # both paths valid on [0.4, 0.6]; must agree to 1e-12 absolute
+        # both forms are valid on [0.4, 0.6] and must agree to 1e-12
+        # absolute: below the switch at 0.5 kernel_H (the series) is checked
+        # against the direct formula, above it against the Bernoulli series
         xs = np.linspace(0.4, 0.6, 41)
+        lo, hi = xs[xs < 0.5], xs[xs >= 0.5]
         for a in (0.1, 0.35, 0.5, 0.8, 1.0):
-            assert np.max(np.abs(h_series(a, xs) - h_direct(a, xs))) <= 1e-12
+            direct = np.exp(-a * lo) / (-np.expm1(-lo)) - 1.0 / lo
+            assert np.max(np.abs(kernel_H(a, lo) - direct)) <= 1e-12
+            series = np.polynomial.polynomial.polyval(hi, h_series_coeffs(a))
+            assert np.max(np.abs(kernel_H(a, hi) - series)) <= 1e-12
 
     # 40-digit mpmath references across both evaluation paths
     H_REFS = {
@@ -124,6 +130,18 @@ class TestKernelGz:
             series = sum(c[k] * x ** k for k in range(1, 37))
             assert abs(series - kernel_Gz(0.3, z, x)) <= 1e-14
 
+    def test_case3_imaginary_part_sign(self):
+        # the kernel fact behind case III: for non-real z = r e^{i theta},
+        # Im G_z(a,x) / sin(theta) < 0 at every x > 0
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            a = float(rng.uniform(0.05, 0.999))
+            r = min(1.0, float(rng.uniform(0.05, 1.1)))   # r = 1 about 1 in 10
+            theta = float(rng.uniform(0.1, math.pi - 0.1) * rng.choice((-1, 1)))
+            xs = rng.uniform(0.01, 10.0, size=100)
+            im = kernel_Gz(a, r * cmath.exp(1j * theta), xs).imag
+            assert np.all(im * math.sin(theta) < 0.0), (a, r, theta)
+
     def test_monotone_numerator_condition(self):
         # d/dx[(1-z)e^{(1-a)x} - e^x + z] < 0 whenever (1-a)(1-z) <= 1
         rng = np.random.default_rng(3)
@@ -135,70 +153,3 @@ class TestKernelGz:
             for x in rng.uniform(0.01, 20.0, size=10):
                 deriv = (1.0 - z) * (1.0 - a) * math.exp((1.0 - a) * x) - math.exp(x)
                 assert deriv < 0.0
-
-
-class TestSignFnG:
-    def test_exact_zeros_at_origin(self):
-        for a in (0.1, 0.5, 1.0):
-            for order in (0, 1, 2):
-                assert sign_fn_g(a, 0.0, order) == 0.0
-
-    def test_spot_values(self):
-        # a = 1/2 kills the (1/2 - a) term: g = e^{1/2} - e + 1
-        assert sign_fn_g(0.5, 1.0, 0) == pytest.approx(
-            math.exp(0.5) - math.e + 1.0, abs=1e-15)
-        assert sign_fn_g(0.5, 1.0, 0) == pytest.approx(-0.06956055775891709, abs=1e-15)
-        assert sign_fn_g(1.0, 1.0, 0) == pytest.approx(0.14085908577047738, abs=1e-15)
-
-    def test_derivative_consistency(self):
-        # g' and g'' match finite differences of g and g'
-        h = 1e-6
-        for a in (0.3, 0.9):
-            for x in (0.5, 2.0):
-                fd1 = (sign_fn_g(a, x + h, 0) - sign_fn_g(a, x - h, 0)) / (2 * h)
-                assert fd1 == pytest.approx(sign_fn_g(a, x, 1), rel=1e-8)
-                fd2 = (sign_fn_g(a, x + h, 1) - sign_fn_g(a, x - h, 1)) / (2 * h)
-                assert fd2 == pytest.approx(sign_fn_g(a, x, 2), rel=1e-8)
-
-    def test_band_signs(self):
-        # numerator sign matches the G bands (g = x(e^x-1) G)
-        for x in (0.5, 5.0, 30.0):
-            assert sign_fn_g(0.3, x, 0) < 0.0       # inside [b-, 1/2]
-            assert sign_fn_g(0.9, x, 0) > 0.0       # inside [b+, 1]
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            sign_fn_g(0.5, -1.0, 0)
-        with pytest.raises(DomainError):
-            sign_fn_g(0.5, 1.0, 3)
-
-
-class TestCase3Kernels:
-    def test_ordering(self):
-        flat, sharp, natural, _ = case3_kernels(0.5, 1.0, math.pi / 2, 1.0)
-        assert flat < natural < sharp
-
-    def test_ordering_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            a = float(rng.uniform(0.05, 0.999))
-            r = float(rng.uniform(0.05, 1.0))
-            theta = float(rng.uniform(0.1, math.pi - 0.1))
-            if rng.uniform() < 0.5:
-                theta += math.pi
-            x = float(rng.uniform(0.01, 10.0))
-            flat, sharp, natural, im_g = case3_kernels(a, r, theta, x)
-            assert flat < natural < sharp
-            # Im(G)/sin(theta) < 0 for all x > 0
-            assert im_g * math.sin(theta) < 0.0
-
-    def test_imaginary_part_spot(self):
-        _, _, _, im_g = case3_kernels(1.0, 1.0, math.pi / 2, 1.0)
-        want = 1.0 / (math.e ** 2 + 1.0) - 0.5
-        assert im_g == pytest.approx(want, abs=1e-15)
-
-    def test_real_theta_rejected(self):
-        for theta in (0.0, math.pi, 2 * math.pi):
-            with pytest.raises(DomainError):
-                case3_kernels(0.5, 1.0, theta, 1.0)
-

@@ -5,10 +5,15 @@ Routes:
 
   * phi_series            -- the defining Dirichlet series (sigma > 1, or any
                              sigma when |z| < 1), plain truncation with an
-                             honest tail and rounding bound.
+                             honest tail and rounding bound; refuses when
+                             its term cap cannot meet tol.  evaluate sends
+                             it |z| <= 0.9, sigma >= 4, and sigma >= 1.5
+                             with |1 - z| < 1e-3.
   * phi_integral          -- the analytic continuation on -1 < sigma < 0
                              and 0 < sigma (below 1 when z = 1, where the
-                             value is zeta(sigma,a)) from a Mellin integral.
+                             value is zeta(sigma,a)) from a Mellin integral;
+                             for z != 1 it serves the annulus |z| > 0.9
+                             below sigma = 4.
   * special_value         -- closed forms at sigma = 0 and sigma = -1.
   * hurwitz_em            -- Euler-Maclaurin for zeta(sigma,a), any real
                              sigma != 1; the z = 1 route for sigma > 1, and
@@ -69,6 +74,8 @@ _HEAD_DELTA = 0.25          # head-series reach for the H/G kernels
 _MIN_ONE_MINUS_Z = 1e-3     # conditioning cap on the integral paths
 _UNIT_TOL = 1e-12
 _SERIES_MAX_TERMS = 2_000_000   # term cap of phi_series
+_SERIES_CHUNK = 2048        # terms per numpy reduction in phi_series
+_SERIES_MIN_SIGMA = 4.0     # evaluate: the series for |z| > 0.9 from here
 _EM_TERMS = 24              # hurwitz_em: terms summed directly
 _EM_CORRECTIONS = 8         # hurwitz_em: Bernoulli corrections, B_2..B_16
 _MAX_LEVELS = 11            # tanh-sinh / exp-sinh refinement cap (nodes ~ 2^levels)
@@ -109,37 +116,18 @@ def _is_unit(z: complex) -> bool:
 # series route
 # --------------------------------------------------------------------------
 
-def _add_chunk(zz: float | complex, sigma: float, a: float, lo: int, hi: int,
-               sums: tuple[list, list, list]) -> None:
-    """Append the sums of Re, Im (complex z only) and |.| of
-    z^n (n+a)^{-sigma} over n = lo..hi-1 to the three lists in sums."""
-    # in place: a unit-circle chunk has 2^19 terms, and new arrays fault pages
-    n = np.arange(lo, hi, dtype=float)
-    terms = np.power(zz, n)
-    n += a
-    terms *= n ** (-sigma)
-    sums[0].append(float(terms.real.sum()))
-    if isinstance(zz, complex):
-        sums[1].append(float(terms.imag.sum()))
-    sums[2].append(float(np.abs(terms, out=n).sum()))
-
-
-def _series_result(sums: tuple[list, list, list], err: float) -> EvalResult:
-    # the rounding term scales with sum |terms|, not |value|: a cancelling
-    # sum keeps the rounding error of its largest terms
-    value = complex(fsum(sums[0]), fsum(sums[1]))
-    return EvalResult(value, err + 8.0 * _EPS * fsum(sums[2]), Method.SERIES)
-
-
 def phi_series(sigma: float, a: float, z: complex,
                tol: float = 1e-10) -> EvalResult:
-    """Direct summation of sum_{n>=0} z^n (n+a)^{-sigma}, at most 2e6 terms.
+    """Direct summation of sum_{n>=0} z^n (n+a)^{-sigma}, up to ~2e6 terms.
 
     Requires sigma > 1 on the unit circle; converges geometrically for
-    |z| < 1 at any real sigma.  The recorded error estimate is the geometric
-    next-term bound (|z| < 1) or the integral tail bound (|z| = 1), plus
-    8 eps times the sum of the term magnitudes for rounding; summation is
-    chunked numpy with pairwise reduction.  tol is the absolute target.
+    |z| < 1 at any real sigma.  Terms are summed in chunks of 2048 with
+    numpy's pairwise reduction until the tail bound meets tol.  The tail
+    bound is the smaller of the geometric next-term bound (|z| < 1) and,
+    for sigma > 1, the integral bound (n0-1+a)^{1-sigma}/(sigma-1); the
+    recorded error adds 8 eps times the sum of the term magnitudes for
+    rounding.  tol is the absolute target; a tail bound still above it at
+    the term cap is SeriesDivergenceError.
     """
     sigma = float(sigma)
     if not math.isfinite(sigma):
@@ -147,43 +135,38 @@ def phi_series(sigma: float, a: float, z: complex,
     a = _check_a(a)
     z = _check_z(z)
     tol = _check_tol(tol)
+    if _is_unit(z) and sigma <= 1.0:
+        raise SeriesDivergenceError(
+            "the series diverges for |z| = 1 and sigma <= 1; use an integral path")
     az = abs(z)
     zz: float | complex = z.real if z.imag == 0.0 else z
-    sums: tuple[list, list, list] = ([], [], [])
-
-    if _is_unit(z):
-        if sigma <= 1.0:
-            raise SeriesDivergenceError(
-                "the series diverges for |z| = 1 and sigma <= 1; use an integral path")
-        # choose N from the integral tail bound (N+a)^{1-sigma}/(sigma-1)
-        want = (tol * (sigma - 1.0)) ** (-1.0 / (sigma - 1.0)) if sigma < 60 else 64.0
-        n_used = int(min(_SERIES_MAX_TERMS, max(64.0, want) + 1.0))
-        for lo in range(0, n_used, 1 << 19):
-            _add_chunk(zz, sigma, a, lo, min(n_used, lo + (1 << 19)), sums)
-        # tail <= int_{n_used-1+a}^inf x^-sigma dx, a true upper bound
-        return _series_result(
-            sums, (n_used - 1 + a) ** (1.0 - sigma) / (sigma - 1.0))
-
-    # geometric regime
-    chunk = 2048
+    re: list[float] = []
+    im: list[float] = []
+    mag: list[float] = []
     n0 = 0
     err = math.inf
-    while n0 < _SERIES_MAX_TERMS:
-        _add_chunk(zz, sigma, a, n0, n0 + chunk, sums)
-        n0 += chunk
-        t_last = az ** (n0 - 1) * (n0 - 1 + a) ** (-sigma)
+    while n0 < _SERIES_MAX_TERMS and not err <= tol:
+        n = np.arange(n0, n0 + _SERIES_CHUNK, dtype=float)
+        terms = np.power(zz, n) * (n + a) ** (-sigma)
+        re.append(float(terms.real.sum()))
+        im.append(float(terms.imag.sum()))
+        mag.append(float(np.abs(terms).sum()))
+        n0 += _SERIES_CHUNK
         eff_r = az * math.exp(max(0.0, -sigma) / (n0 + a))
         if eff_r < 1.0:
-            err = t_last * eff_r / (1.0 - eff_r)
-            if err <= tol:
-                break
-    if not math.isfinite(err):
-        # |z| a hair inside the unit circle with sigma < 0: the terms are
-        # still growing at the term cap, so no honest bound exists
+            err = (az ** (n0 - 1) * (n0 - 1 + a) ** (-sigma)
+                   * eff_r / (1.0 - eff_r))
+        if sigma > 1.0:
+            # tail <= int_{n0-1+a}^inf x^-sigma dx, for any |z| <= 1
+            err = min(err, (n0 - 1 + a) ** (1.0 - sigma) / (sigma - 1.0))
+    if not err <= tol:
         raise SeriesDivergenceError(
-            f"series tail not yet decaying after {_SERIES_MAX_TERMS} terms "
-            f"(|z| = {az}, sigma = {sigma}); use an integral path")
-    return _series_result(sums, err)
+            f"series tail bound {err:.2e} above tol = {tol:g} after {n0} "
+            f"terms (|z| = {az}, sigma = {sigma}); use an integral path")
+    # the rounding term scales with sum |terms|, not |value|: a cancelling
+    # sum keeps the rounding error of its largest terms
+    return EvalResult(complex(fsum(re), fsum(im)),
+                      err + 8.0 * _EPS * fsum(mag), Method.SERIES)
 
 
 # --------------------------------------------------------------------------
@@ -365,13 +348,14 @@ def evaluate(sigma: float, a: float, z: complex,
     """Evaluate Phi(sigma, a, z), dispatching on (sigma, z).
 
     sigma in {0,-1} -> closed forms; z = 1 and sigma > 1 -> Euler-Maclaurin;
-    z = 1 otherwise -> the zeta integrals; z != 1 with |z| <= 0.9 or
-    sigma >= 1.5 -> the series; otherwise the integral representations (for
-    1 < sigma < 1.5 on the unit circle the series tail decays too slowly
-    for a sensible term count, so z != 1 takes the sigma > 0 integral).
-    sigma = 1 with z = 1 is the zeta pole; sigma below -1 and non-finite
-    sigma are outside the supported range.  tol is the absolute target of
-    the series and integral routes; it must be positive.
+    z = 1 otherwise -> the zeta integrals.  z != 1 goes to the series when
+    |z| <= 0.9, when sigma >= 4 (about 1.5e3 terms on the unit circle), or
+    when sigma >= 1.5 and |1 - z| < 1e-3, where the integral refuses; all
+    other z != 1 take the integral representations.  sigma = 1 with z = 1
+    is the zeta pole; sigma below -1 and non-finite sigma are outside the
+    supported range.  tol is the absolute target of the series and
+    integral routes; it must be positive.  The series raises
+    SeriesDivergenceError when its term cap cannot meet tol.
     """
     sigma = float(sigma)
     a = _check_a(a)
@@ -387,6 +371,7 @@ def evaluate(sigma: float, a: float, z: complex,
             raise PoleError("zeta(s,a) has a simple pole at s = 1")
         if sigma > 1.0:
             return hurwitz_em(sigma, a)
-    elif abs(z) <= 0.9 or sigma >= 1.5:
+    elif (abs(z) <= 0.9 or sigma >= _SERIES_MIN_SIGMA
+          or (sigma >= 1.5 and abs(1.0 - z) < _MIN_ONE_MINUS_Z)):
         return phi_series(sigma, a, z, tol=tol)
     return phi_integral(sigma, a, z, tol)

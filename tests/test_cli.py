@@ -84,6 +84,15 @@ class TestEval:
             assert out == ""
             assert "error" in err
 
+    def test_series_cap_refusal_exit_code(self, capsys):
+        # the 2e6-term cap leaves the tail bound above tol: a refusal that
+        # names the bound, not a printed claim of 1.4e-3
+        code, out, err = run_cli(capsys, "eval", "--method", "series",
+                                 "--sigma", "1.5", "--a", "0.3", "--z", "-1")
+        assert code == 2
+        assert out == ""
+        assert "tail bound 1.41e-03" in err
+
     def test_bad_tol_is_usage_error(self, capsys, tmp_path):
         # --tol is checked when the arguments are parsed, so every method
         # refuses it, including those that do not use it

@@ -2,6 +2,7 @@
 representations and the dispatcher.  Frozen references come from 50-digit
 mpmath runs (zeta/lerchphi); classical constants are written as formulas.
 """
+import cmath
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ PHI_M05_03_I = complex(-0.05117794831360994, 0.36695201140560064)
 
 class TestPhiSeries:
     def test_zeta_two(self):
-        res = phi_series(2.0, 1.0, 1.0)
+        res = phi_series(2.0, 1.0, 1.0, tol=1e-5)
         assert res.method is Method.SERIES
         # plain truncation: the honest estimate is the integral tail bound
         assert abs(res.value.real - PI2_6) <= res.abs_err_estimate
@@ -41,7 +42,7 @@ class TestPhiSeries:
 
     def test_eta_two(self):
         # alternating series: true error is below the first omitted term
-        res = phi_series(2.0, 1.0, -1.0)
+        res = phi_series(2.0, 1.0, -1.0, tol=1e-6)
         assert abs(res.value.real - PI2_12) <= 1e-9
         assert res.value.imag == 0.0
 
@@ -61,6 +62,12 @@ class TestPhiSeries:
         # at the cap, so no finite tail estimate exists
         with pytest.raises(SeriesDivergenceError):
             phi_series(-0.5, 0.5, 1.0 - 1e-11)
+
+    def test_cap_short_of_tol_raises(self):
+        # the 2e6-term cap leaves the integral tail bound at 1.4e-3; this
+        # returned that claim against tol = 1e-10 instead of refusing
+        with pytest.raises(SeriesDivergenceError, match="tail bound 1.41e-03"):
+            phi_series(1.5, 0.3, -1.0)
 
     def test_complex_z(self):
         res = phi_series(1.5, 0.3, 0.6j, tol=1e-13)
@@ -106,7 +113,7 @@ class TestHurwitzEM:
         # the EM oracle must agree with plain partial sums where those work
         for sigma in (2.0, 3.0, 4.0):
             em = hurwitz_em(sigma, 1.0)
-            series = phi_series(sigma, 1.0, 1.0)
+            series = phi_series(sigma, 1.0, 1.0, tol=1e-6)
             assert abs(em.value.real - series.value.real) <= series.abs_err_estimate
         assert abs(hurwitz_em(2.0, 1.0).value.real - PI2_6) <= 1e-13
 
@@ -319,6 +326,31 @@ class TestDispatcher:
         res = evaluate(1.2, 0.7, -1.0)
         assert res.method is Method.INTEGRAL_UNIT
 
+    @pytest.mark.parametrize("sigma, z, ref", [
+        (1.6, cmath.exp(1j),
+         complex(6.9690070593155410401, 0.70530879350914680343)),
+        (2.0, -1.0, 10.649637352132546512),
+        (1.5, -0.9999999, 5.5965319276165248423),
+    ], ids=["unit_circle", "minus_one", "inside_circle"])
+    def test_annulus_below_sigma_four_meets_tol(self, sigma, z, ref):
+        # the series stopped at its term cap here and claimed 2.8e-4, 5e-7
+        # and 2.9e-3 against tol = 1e-10
+        tol = 1e-10
+        res = evaluate(sigma, 0.3, z, tol)
+        assert res.method in (Method.INTEGRAL_POS, Method.INTEGRAL_UNIT)
+        assert abs(res.value - ref) <= res.abs_err_estimate
+        assert res.abs_err_estimate <= max(tol, tol * abs(ref))
+
+    def test_near_one_series_clause(self):
+        # |1 - z| < 1e-3 with sigma >= 1.5 stays on the series, which the
+        # integral refuses there; on the circle the cap cannot meet tol
+        res = evaluate(2.0, 0.5, 0.9995)
+        assert res.method is Method.SERIES
+        ref = 4.9310403926066042122
+        assert abs(res.value.real - ref) <= res.abs_err_estimate
+        with pytest.raises(SeriesDivergenceError):
+            evaluate(1.5, 0.3, cmath.exp(1e-4j))
+
     def test_pole_and_range_errors(self):
         with pytest.raises(PoleError):
             evaluate(1.0, 0.5, 1.0)
@@ -369,7 +401,7 @@ _CHI4 = builtin_characters(4)[1]
 
 @pytest.mark.parametrize("route", [
     lambda: evaluate(0.0, 0.3, 1j),
-    lambda: phi_series(2.0, 0.3, 1j),
+    lambda: phi_series(2.0, 0.3, 1j, tol=1e-5),
     lambda: phi_series(-0.5, 0.3, 0.5),
     lambda: hurwitz_em(-0.5, 0.3),
     lambda: phi_integral(0.5, 0.3, 1.0),

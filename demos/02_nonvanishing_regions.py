@@ -21,7 +21,7 @@ print(f"{'a':>5} {'verdict':>12} {'zeros found':>30}")
 for a in np.arange(0.05, 1.001, 0.05):
     a = round(float(a), 2)
     verdict = lz.classify(a, 1.0)
-    rep = lz.scan_zeros(a, 1.0, grid_step=0.01, tol=tol)
+    rep = lz.scan_zeros(a, 1.0, tol=tol)
     roots = ", ".join(f"{r:.4f}" for r in rep.roots) or "-"
     print(f"{a:>5} {verdict.tag:>12} {roots:>30}")
 
@@ -29,7 +29,7 @@ print()
 print("z = -1: the zero appears exactly when (1-z)(1-a) = 2(1-a) > 1, i.e. a < 1/2")
 for a in (0.1, 0.3, 0.49, 0.51, 0.75, 1.0):
     verdict = lz.classify(a, -1.0)
-    rep = lz.scan_zeros(a, -1.0, grid_step=0.01, tol=tol)
+    rep = lz.scan_zeros(a, -1.0, tol=tol)
     print(f"  a={a:<5} {verdict.tag:<12} brackets={rep.n_brackets}  "
           f"Phi(-1)={rep.value_at_neg_one:+.4f}  Phi(0)={rep.value_at_zero:+.4f}")
 

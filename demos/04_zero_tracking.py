@@ -14,7 +14,7 @@ tol = 1e-8
 print("# a  sigma_star  |zeta(sigma_star, a)|")
 for a in np.arange(0.02, 0.99, 0.02):
     a = round(float(a), 2)
-    rep = lz.scan_zeros(a, 1.0, grid_step=0.005, tol=tol)
+    rep = lz.scan_zeros(a, 1.0, tol=tol)
     for root, res in zip(rep.roots, rep.residuals):
         print(f"{a:.2f}  {root:+.8f}  {res:.1e}")
 
@@ -22,6 +22,6 @@ print()
 print("# same for z = -1 (zero exists iff a < 1/2)")
 for a in np.arange(0.05, 0.50, 0.05):
     a = round(float(a), 2)
-    rep = lz.scan_zeros(a, -1.0, grid_step=0.005, tol=tol)
+    rep = lz.scan_zeros(a, -1.0, tol=tol)
     for root, res in zip(rep.roots, rep.residuals):
         print(f"{a:.2f}  {root:+.8f}  {res:.1e}")

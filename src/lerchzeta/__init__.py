@@ -13,8 +13,8 @@ from .functional_eq import (phi_fe_rhs, verify_kernel_expansion_z1,
                             verify_mellin_identity, zeta_fe_rhs)
 from .identities import (CharacterTable, SixRelationsReport,
                          builtin_characters, dirichlet_L, dirichlet_L_series,
-                         gauss_sum, lerch_from_hurwitz, load_character_csv,
-                         polylog_series, verify_six_relations)
+                         gauss_sum, lerch_from_hurwitz, polylog_series,
+                         verify_six_relations)
 from .kernels import kernel_G, kernel_Gz, kernel_H
 from .quadrature import QuadResult, exp_sinh, tanh_sinh
 from .special import (bernoulli_number, bernoulli_numbers, bernoulli_poly,
@@ -36,7 +36,7 @@ __all__ = [
     "builtin_characters", "check_case3", "classify",
     "dirichlet_L", "dirichlet_L_series", "evaluate",
     "exp_sinh", "gamma_real", "gauss_sum", "hurwitz_em", "kernel_G",
-    "kernel_Gz", "kernel_H", "lerch_from_hurwitz", "load_character_csv",
+    "kernel_Gz", "kernel_H", "lerch_from_hurwitz",
     "phi_fe_rhs", "phi_integral", "phi_series",
     "polylog_series", "principal_log", "run_suite", "scan_zeros",
     "special_value", "suite_names", "tanh_sinh",

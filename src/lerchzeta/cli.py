@@ -3,7 +3,7 @@
     lerch eval   --sigma S --a A [--z Z] [--method auto|series|integral|fe|em]
                  [--tol T]
     lerch scan   --a-min A0 --a-max A1 --a-step DA --z ZSPEC --out PATH
-                 [--grid-step G] [--tol T]
+                 [--tol T]
     lerch verify {fe,signs,kernels,identities,all}
 
 `eval` prints "value_re value_im err_estimate method" with 17 significant
@@ -88,10 +88,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scan_cell(a: float, z: complex, grid_step: float, tol: float) -> str:
+def _scan_cell(a: float, z: complex, tol: float) -> str:
     verdict = classify(a, z)
     if z.imag == 0.0:
-        rep = scan_zeros(a, z.real, grid_step=grid_step, tol=tol)
+        rep = scan_zeros(a, z.real, tol=tol)
         n_br = rep.n_brackets
         roots = ";".join(_fmt(r) for r in rep.roots)
         max_res = rep.max_residual
@@ -112,7 +112,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         a += args.a_step
     cells = sorted(((a, z) for a in a_values for z in z_list),
                    key=lambda cell: (cell[0], cell[1].real, cell[1].imag))
-    rows = [_scan_cell(a, z, args.grid_step, args.tol) for a, z in cells]
+    rows = [_scan_cell(a, z, args.tol) for a, z in cells]
     try:
         with open(args.out, "w") as fh:
             fh.write(_SCAN_HEADER + "\n")
@@ -158,7 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--z", type=str, required=True,
                         help="complex literal, unit:<theta>, or list of reals")
     p_scan.add_argument("--out", type=str, required=True)
-    p_scan.add_argument("--grid-step", type=float, default=0.005)
     p_scan.add_argument("--tol", type=_tol, default=1e-10)
     p_scan.set_defaults(func=_cmd_scan)
 

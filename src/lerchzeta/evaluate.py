@@ -53,8 +53,9 @@ import numpy as np
 
 from .errors import (ConditioningError, DomainError, PoleError,
                      SeriesDivergenceError)
-from .kernels import (_check_a, _check_tol, _check_z, gz_taylor_coeffs,
-                      h_series_coeffs, kernel_G, kernel_Gz, kernel_H)
+from .kernels import (_check_a, _check_tol, _check_z, _is_unit,
+                      gz_taylor_coeffs, h_series_coeffs, kernel_G, kernel_Gz,
+                      kernel_H)
 from .quadrature import exp_sinh, tanh_sinh
 from .special import bernoulli_number, bernoulli_poly, gamma_real
 
@@ -72,9 +73,10 @@ _EPS = float(np.finfo(float).eps)
 _SPLIT = 1.0                # int_0^inf is split here (the kernel analysis splits at 1)
 _HEAD_DELTA = 0.25          # head-series reach for the H/G kernels
 _MIN_ONE_MINUS_Z = 1e-3     # conditioning cap on the integral paths
-_UNIT_TOL = 1e-12
 _SERIES_MAX_TERMS = 2_000_000   # term cap of phi_series
 _SERIES_CHUNK = 2048        # terms per numpy reduction in phi_series
+# n0 after the last chunk of phi_series, 2000896
+_SERIES_END = math.ceil(_SERIES_MAX_TERMS / _SERIES_CHUNK) * _SERIES_CHUNK
 _SERIES_MIN_SIGMA = 4.0     # evaluate: the series for |z| > 0.9 from here
 _EM_TERMS = 24              # hurwitz_em: terms summed directly
 _EM_CORRECTIONS = 8         # hurwitz_em: Bernoulli corrections, B_2..B_16
@@ -108,10 +110,6 @@ class EvalResult:
     method: Method
 
 
-def _is_unit(z: complex) -> bool:
-    return abs(abs(z) - 1.0) <= _UNIT_TOL
-
-
 # --------------------------------------------------------------------------
 # series route
 # --------------------------------------------------------------------------
@@ -127,7 +125,8 @@ def phi_series(sigma: float, a: float, z: complex,
     for sigma > 1, the integral bound (n0-1+a)^{1-sigma}/(sigma-1); the
     recorded error adds 8 eps times the sum of the term magnitudes for
     rounding.  tol is the absolute target; a tail bound still above it at
-    the term cap is SeriesDivergenceError.
+    the term cap is SeriesDivergenceError, raised before any term is summed
+    when sigma > 1.
     """
     sigma = float(sigma)
     if not math.isfinite(sigma):
@@ -140,18 +139,9 @@ def phi_series(sigma: float, a: float, z: complex,
             "the series diverges for |z| = 1 and sigma <= 1; use an integral path")
     az = abs(z)
     zz: float | complex = z.real if z.imag == 0.0 else z
-    re: list[float] = []
-    im: list[float] = []
-    mag: list[float] = []
-    n0 = 0
-    err = math.inf
-    while n0 < _SERIES_MAX_TERMS and not err <= tol:
-        n = np.arange(n0, n0 + _SERIES_CHUNK, dtype=float)
-        terms = np.power(zz, n) * (n + a) ** (-sigma)
-        re.append(float(terms.real.sum()))
-        im.append(float(terms.imag.sum()))
-        mag.append(float(np.abs(terms).sum()))
-        n0 += _SERIES_CHUNK
+
+    def tail_bound(n0: int, err: float) -> float:
+        """The tail bound after n0 terms; err is the bound before."""
         eff_r = az * math.exp(max(0.0, -sigma) / (n0 + a))
         if eff_r < 1.0:
             err = (az ** (n0 - 1) * (n0 - 1 + a) ** (-sigma)
@@ -159,6 +149,27 @@ def phi_series(sigma: float, a: float, z: complex,
         if sigma > 1.0:
             # tail <= int_{n0-1+a}^inf x^-sigma dx, for any |z| <= 1
             err = min(err, (n0 - 1 + a) ** (1.0 - sigma) / (sigma - 1.0))
+        return err
+
+    re: list[float] = []
+    im: list[float] = []
+    mag: list[float] = []
+    n0 = 0
+    err = math.inf
+    if sigma > 1.0:
+        # both bounds fall as n0 grows, so the bound after the last chunk
+        # decides a refusal before any term is summed
+        end_err = tail_bound(_SERIES_END, math.inf)
+        if not end_err <= tol:
+            n0, err = _SERIES_END, end_err
+    while n0 < _SERIES_MAX_TERMS and not err <= tol:
+        n = np.arange(n0, n0 + _SERIES_CHUNK, dtype=float)
+        terms = np.power(zz, n) * (n + a) ** (-sigma)
+        re.append(float(terms.real.sum()))
+        im.append(float(terms.imag.sum()))
+        mag.append(float(np.abs(terms).sum()))
+        n0 += _SERIES_CHUNK
+        err = tail_bound(n0, err)
     if not err <= tol:
         raise SeriesDivergenceError(
             f"series tail bound {err:.2e} above tol = {tol:g} after {n0} "

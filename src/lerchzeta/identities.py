@@ -24,17 +24,16 @@ exact identities; verify_six_relations computes each side independently
 (direct series or Euler-Maclaurin) and reports the residuals.
 
 Characters are explicit value tables.  Built-ins cover moduli 1..4 (the
-real primitive cases plus the principal characters needed by R2/R6);
-arbitrary tables can be loaded from CSV.
+real primitive cases plus the principal characters needed by R2/R6); any
+other character is a CharacterTable(q, values), checked by validate().
 """
 from __future__ import annotations
 
 import cmath
-import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import fsum, gcd
-from pathlib import Path
 
 import numpy as np
 
@@ -45,7 +44,6 @@ __all__ = [
     "CharacterTable",
     "SixRelationsReport",
     "builtin_characters",
-    "load_character_csv",
     "gauss_sum",
     "dirichlet_L",
     "dirichlet_L_series",
@@ -55,7 +53,7 @@ __all__ = [
 ]
 
 _SERIES_TERMS = 200_000     # terms of the direct L and polylog series
-_CHI_TOL = 1e-12            # slack of the character axioms on CSV values
+_CHI_TOL = 1e-12            # slack of the character axioms on caller tables
 
 
 def _unit_root(num: int, den: int) -> complex:
@@ -138,62 +136,52 @@ def builtin_characters(q: int) -> tuple[CharacterTable, ...]:
     return _BUILTIN[q]
 
 
-def load_character_csv(path: str | Path) -> CharacterTable:
-    """Load a character table from CSV: header line "q=<modulus>", then rows
-    "n, re, im".  The table is validated before being returned."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and row[0].strip()]
-    if not rows or not rows[0][0].strip().startswith("q="):
-        raise DomainError("character CSV must start with a 'q=<modulus>' header")
-    q = int(rows[0][0].strip()[2:])
-    values: list[complex] = [complex(0.0)] * q
-    seen = [False] * q
-    for row in rows[1:]:
-        n = int(row[0])
-        if not 1 <= n <= q:
-            raise DomainError(f"row index {n} outside 1..{q}")
-        values[n - 1] = complex(float(row[1]), float(row[2]))
-        seen[n - 1] = True
-    if not all(seen):
-        raise DomainError("character CSV must define chi(n) for every n in 1..q")
-    table = CharacterTable(q, tuple(values), label=f"csv:{path.name}")
-    table.validate()
-    return table
-
-
 def gauss_sum(chi: CharacterTable, r: int = 1) -> complex:
     """G_r(chi) = sum_{n=1}^q chi(n) e^{2 pi i r n / q}.
 
     For primitive chi and gcd(r,q) = 1 this equals chi~(r) G_1(chi) and has
     modulus sqrt(q)."""
-    return complex(fsum((chi.chi(n) * _unit_root(r * n, chi.q)).real
-                        for n in range(1, chi.q + 1)),
-                   fsum((chi.chi(n) * _unit_root(r * n, chi.q)).imag
-                        for n in range(1, chi.q + 1)))
+    terms = [chi.chi(n) * _unit_root(r * n, chi.q) for n in range(1, chi.q + 1)]
+    return complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
 
 
 # --------------------------------------------------------------------------
 # L-functions and polylogarithms
 # --------------------------------------------------------------------------
 
+def _hurwitz_combination(sigma: float, weights: Sequence[complex]) -> EvalResult:
+    """q^{-sigma} sum_{n=1}^q w_n zeta(sigma, n/q) with q = len(weights),
+    from Euler-Maclaurin components.  The error adds the estimates of the
+    components with w_n != 0; those weights have unit modulus."""
+    if sigma == 1.0:
+        raise PoleError("the zeta(s, n/q) components have their pole at s = 1")
+    q = len(weights)
+    parts = [hurwitz_em(sigma, n / q) for n in range(1, q + 1)]
+    terms = [w * p.value for w, p in zip(weights, parts)]
+    scale = q ** (-sigma)
+    value = scale * complex(fsum(t.real for t in terms),
+                            fsum(t.imag for t in terms))
+    err = scale * fsum(p.abs_err_estimate
+                       for w, p in zip(weights, parts) if w != 0)
+    return EvalResult(value, err, Method.EULER_MACLAURIN)
+
+
+def _periodic_series(sigma: float, coeffs: Sequence[complex]) -> complex:
+    """sum_{n=1}^N c_n n^{-sigma}, N = 200000, with c_n = coeffs[(n-1) % q]
+    tiled exactly over the period q = len(coeffs)."""
+    q = len(coeffs)
+    c = np.tile(np.array(coeffs, dtype=complex),
+                _SERIES_TERMS // q + 1)[:_SERIES_TERMS]
+    terms = c * np.arange(1, _SERIES_TERMS + 1, dtype=float) ** (-sigma)
+    return complex(np.sum(terms.real), np.sum(terms.imag))
+
+
 def dirichlet_L(sigma: float, chi: CharacterTable) -> EvalResult:
     """L(sigma, chi) = q^{-sigma} sum_r chi(r) zeta(sigma, r/q), the Hurwitz
     combination, with Euler-Maclaurin components.  Valid for real
     sigma != 1 (at sigma = 1 the individual zeta terms blow up even when
     the combination stays finite)."""
-    sigma = float(sigma)
-    if sigma == 1.0:
-        raise PoleError("the zeta(s, r/q) components have their pole at s = 1")
-    q = chi.q
-    parts = [hurwitz_em(sigma, r / q) for r in range(1, q + 1)]
-    scale = q ** (-sigma)
-    value = scale * complex(
-        fsum((chi.chi(r) * parts[r - 1].value).real for r in range(1, q + 1)),
-        fsum((chi.chi(r) * parts[r - 1].value).imag for r in range(1, q + 1)))
-    err = scale * fsum(abs(chi.chi(r)) * parts[r - 1].abs_err_estimate
-                       for r in range(1, q + 1))
-    return EvalResult(value, err, Method.EULER_MACLAURIN)
+    return _hurwitz_combination(float(sigma), chi.values)
 
 
 def _zeta_series_direct(sigma: float) -> float:
@@ -239,11 +227,7 @@ def dirichlet_L_series(sigma: float, chi: CharacterTable) -> complex:
         zeta_val = _zeta_series_direct(sigma)
         factor = fsum(_mobius(d) * d ** (-sigma) for d in _divisors(q))
         return complex(factor * zeta_val, 0.0)
-    n = np.arange(1, _SERIES_TERMS + 1)
-    table = np.array([chi.chi(k) for k in range(1, q + 1)], dtype=complex)
-    chin = np.tile(table, _SERIES_TERMS // q + 1)[:_SERIES_TERMS]
-    terms = chin * n.astype(float) ** (-sigma)
-    return complex(np.sum(terms.real), np.sum(terms.imag))
+    return _periodic_series(sigma, chi.values)
 
 
 def polylog_series(sigma: float, r: int, q: int) -> complex:
@@ -260,11 +244,7 @@ def polylog_series(sigma: float, r: int, q: int) -> complex:
         raise DomainError("need 1 <= r <= q")
     if r % q == 0:
         return complex(_zeta_series_direct(sigma), 0.0)
-    n = np.arange(1, _SERIES_TERMS + 1)
-    phases = np.array([_unit_root(r * k, q) for k in range(1, q + 1)])
-    zn = np.tile(phases, _SERIES_TERMS // q + 1)[:_SERIES_TERMS]
-    terms = zn * n.astype(float) ** (-sigma)
-    return complex(np.sum(terms.real), np.sum(terms.imag))
+    return _periodic_series(sigma, [_unit_root(r * k, q) for k in range(1, q + 1)])
 
 
 def lerch_from_hurwitz(sigma: float, r: int, q: int) -> EvalResult:
@@ -276,18 +256,11 @@ def lerch_from_hurwitz(sigma: float, r: int, q: int) -> EvalResult:
     sigma = float(sigma)
     if q < 1 or not 1 <= r <= q:
         raise DomainError("need 1 <= r <= q")
-    if sigma == 1.0:
-        raise PoleError("the zeta(s, n/q) components have their pole at s = 1")
     if r % q == 0 and sigma < 1.0:
         raise DomainError("e^{2 pi i r/q} = 1 gives zeta(sigma), divergent "
                           "for sigma < 1")
-    parts = [hurwitz_em(sigma, n / q) for n in range(1, q + 1)]
-    scale = q ** (-sigma)
-    terms = [_unit_root(r * n, q) * parts[n - 1].value for n in range(1, q + 1)]
-    value = scale * complex(fsum(t.real for t in terms),
-                            fsum(t.imag for t in terms))
-    err = scale * fsum(p.abs_err_estimate for p in parts)
-    return EvalResult(value, err, Method.EULER_MACLAURIN)
+    return _hurwitz_combination(
+        sigma, [_unit_root(r * n, q) for n in range(1, q + 1)])
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +292,10 @@ def verify_six_relations(sigma: float, q: int) -> SixRelationsReport:
     phi_q = euler_phi(q)
 
     zs = {r: hurwitz_em(sigma, r / q).value.real for r in range(1, q + 1)}
-    Ls = {c.label: dirichlet_L_series(sigma, c) for c in chars}
+    # every character at every level q/g, each summed once; R1, R2 and R5
+    # read the level g = 1, R6 all of them
+    Ls = {c.label: dirichlet_L_series(sigma, c)
+          for g in _divisors(q) for c in builtin_characters(q // g)}
     Lis = {k: polylog_series(sigma, k, q) for k in range(1, q + 1)}
 
     r1 = max(abs(Ls[c.label]
@@ -346,8 +322,7 @@ def verify_six_relations(sigma: float, q: int) -> SixRelationsReport:
             qq = q // g
             for c in builtin_characters(qq):
                 total += (g ** (-sigma) / euler_phi(qq)
-                          * gauss_sum(c.conjugate(), r)
-                          * dirichlet_L_series(sigma, c))
+                          * gauss_sum(c.conjugate(), r) * Ls[c.label])
         return total
 
     r6 = max(abs(Lis[r] - reconstructed_li(r)) for r in range(1, q + 1))

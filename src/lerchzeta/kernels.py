@@ -37,7 +37,7 @@ __all__ = [
 _SERIES_CROSSOVER = 0.5  # series/direct switch for H and G
 _SERIES_TERMS = 30       # truncation error ~ (x/2pi)^31 / x  <= 1e-33 at x = 0.5
 _GZ_TERMS = 36           # Taylor terms of G_z for the integral head series
-_Z_TOL = 1e-12
+_Z_TOL = 1e-12          # slack of |z| = 1: z checks and the unit circle
 
 
 def _check_a(a: float) -> float:
@@ -53,6 +53,10 @@ def _check_z(z: complex) -> complex:
     if not 0.0 < az <= 1.0 + _Z_TOL:   # also rejects NaN
         raise DomainError(f"z must satisfy 0 < |z| <= 1, got |z| = {az}")
     return z
+
+
+def _is_unit(z: complex) -> bool:
+    return abs(abs(z) - 1.0) <= _Z_TOL
 
 
 def _check_tol(tol: float) -> float:

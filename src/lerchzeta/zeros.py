@@ -44,6 +44,7 @@ __all__ = [
 B2_ROOT_LOWER = (3.0 - math.sqrt(3.0)) / 6.0   # 0.21132...
 B2_ROOT_UPPER = (3.0 + math.sqrt(3.0)) / 6.0   # 0.78867...
 _CASE3_SIGMAS = np.linspace(-0.9, -0.1, 9)
+_GRID_STEP = 0.005          # sigma grid of scan_zeros
 
 
 class Region(str, Enum):
@@ -97,7 +98,6 @@ class ZeroReport:
 
     a: float
     z: float
-    grid_step: float
     brackets: tuple[tuple[float, float], ...]
     roots: tuple[float, ...]
     residuals: tuple[float, ...]
@@ -130,19 +130,18 @@ def _bisect(f, lo: float, hi: float, sign_lo: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def scan_zeros(a: float, z: float, grid_step: float = 0.005,
-               tol: float = 1e-10) -> ZeroReport:
+def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
     """Bracket and refine the real zeros of sigma -> Phi(sigma,a,z) on (-1,0).
 
     tol is one tolerance for both the values and the roots: each value
     is evaluated to it, and bisection stops once a bracket is narrower.
 
     z must be real (Phi is real-valued there); non-real z never has real
-    zeros on (-1,0) and belongs to check_case3.  The interior grid runs from
-    -1 + grid_step/2 to -grid_step/2; the exact closed forms at sigma = -1
-    and sigma = 0 are prepended/appended as sign anchors.  Exact zeros
-    (possible only for the closed forms, e.g. Phi(-1, 1/2, -1) = 0) carry no
-    sign and never seed a bracket.
+    zeros on (-1,0) and belongs to check_case3.  The interior grid runs
+    from -0.9975 to -0.0025 in steps of 0.005; the exact closed forms at
+    sigma = -1 and sigma = 0 are prepended/appended as sign anchors.  Exact
+    zeros (possible only for the closed forms, e.g. Phi(-1, 1/2, -1) = 0)
+    carry no sign and never seed a bracket.
     """
     a = _check_a(a)
     zc = complex(z)
@@ -152,15 +151,10 @@ def scan_zeros(a: float, z: float, grid_step: float = 0.005,
     _check_z(zc)
     if zr > 1.0 or zr < -1.0:
         raise DomainError("real z must lie in [-1, 1]")
-    grid_step = float(grid_step)
-    if not 0.0 < grid_step <= 0.01:
-        raise DomainError("grid_step must lie in (0, 0.01]")
 
-    eps = 0.5 * grid_step
-    count = int(round((1.0 - grid_step) / grid_step)) + 1
-    interior = -1.0 + eps + grid_step * np.arange(count)
-    # steps that do not divide the interval can overshoot -eps; stay interior
-    interior = interior[interior < -1e-9]
+    eps = 0.5 * _GRID_STEP
+    count = int(round((1.0 - _GRID_STEP) / _GRID_STEP)) + 1
+    interior = -1.0 + eps + _GRID_STEP * np.arange(count)
 
     def f(sig: float) -> float:
         return evaluate(sig, a, zr, tol).value.real
@@ -188,8 +182,7 @@ def scan_zeros(a: float, z: float, grid_step: float = 0.005,
         roots.append(root)
         residuals.append(abs(f(root)))
 
-    return ZeroReport(a=a, z=zr, grid_step=grid_step,
-                      brackets=tuple(brackets), roots=tuple(roots),
+    return ZeroReport(a=a, z=zr, brackets=tuple(brackets), roots=tuple(roots),
                       residuals=tuple(residuals),
                       value_at_neg_one=phi_m1, value_at_zero=phi_0)
 

@@ -109,7 +109,7 @@ class TestAcceptance:
             if excluded(a, (B2_ROOT_LOWER, 0.5, B2_ROOT_UPPER)):
                 continue
             n_cells += 1
-            rep = scan_zeros(a, 1.0, grid_step=0.005, tol=SCAN_CFG)
+            rep = scan_zeros(a, 1.0, tol=SCAN_CFG)
             verdict = classify(a, 1.0)
             expect_zero = a < B2_ROOT_LOWER or 0.5 < a < B2_ROOT_UPPER
             if (rep.n_brackets >= 1) != expect_zero:
@@ -120,7 +120,7 @@ class TestAcceptance:
             if excluded(a, (0.5,)):
                 continue
             n_cells += 1
-            rep = scan_zeros(a, -1.0, grid_step=0.005, tol=SCAN_CFG)
+            rep = scan_zeros(a, -1.0, tol=SCAN_CFG)
             verdict = classify(a, -1.0)
             expect_zero = a < 0.5
             if (rep.n_brackets >= 1) != expect_zero:

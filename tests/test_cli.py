@@ -120,7 +120,7 @@ class TestScan:
         out1 = tmp_path / "scan1.csv"
         out2 = tmp_path / "scan2.csv"
         common = ["scan", "--a-min", "0.1", "--a-max", "0.3", "--a-step", "0.1",
-                  "--z", "1", "--grid-step", "0.01", "--tol", "1e-8"]
+                  "--z", "1", "--tol", "1e-8"]
         assert main(common + ["--out", str(out1)]) == 0
         assert main(common + ["--out", str(out2)]) == 0
         capsys.readouterr()
@@ -146,8 +146,8 @@ class TestScan:
     def test_real_list_z_spec(self, capsys, tmp_path):
         out = tmp_path / "list.csv"
         code = main(["scan", "--a-min", "0.4", "--a-max", "0.4", "--a-step",
-                     "0.1", "--z=-1,0.5", "--grid-step", "0.01",
-                     "--tol", "1e-8", "--out", str(out)])
+                     "0.1", "--z=-1,0.5", "--tol", "1e-8",
+                     "--out", str(out)])
         capsys.readouterr()
         assert code == 0
         rows = out.read_text().splitlines()[1:]
@@ -157,8 +157,7 @@ class TestScan:
 
     def test_unwritable_path(self, capsys):
         code = main(["scan", "--a-min", "0.4", "--a-max", "0.4", "--a-step",
-                     "0.1", "--z", "1", "--grid-step", "0.01",
-                     "--out", "/nonexistent-dir/x.csv"])
+                     "0.1", "--z", "1", "--out", "/nonexistent-dir/x.csv"])
         _, err = capsys.readouterr().out, capsys.readouterr().err
         assert code == 2
 

@@ -1,4 +1,4 @@
-"""Smoke test: the fast demos run to completion.  02 (about 3 s) and 04
+"""Smoke test: the fast demos run to completion.  02 (about 5 s) and 04
 (about 12 s) are left to be run by hand."""
 import os
 import subprocess

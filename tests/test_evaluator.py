@@ -4,6 +4,7 @@ mpmath runs (zeta/lerchphi); classical constants are written as formulas.
 """
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +69,14 @@ class TestPhiSeries:
         # returned that claim against tol = 1e-10 instead of refusing
         with pytest.raises(SeriesDivergenceError, match="tail bound 1.41e-03"):
             phi_series(1.5, 0.3, -1.0)
+
+    def test_cap_refusal_sums_nothing(self):
+        # for sigma > 1 the tail bound at the term cap is known up front, so
+        # a refusal costs no summation (2 M terms take 0.3-0.7 s)
+        start = time.process_time()
+        with pytest.raises(SeriesDivergenceError, match="after 2000896 terms"):
+            phi_series(1.5, 0.3, cmath.exp(1e-4j))
+        assert time.process_time() - start < 0.05
 
     def test_complex_z(self):
         res = phi_series(1.5, 0.3, 0.6j, tol=1e-13)

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from lerchzeta import (DomainError, PoleError, builtin_characters, dirichlet_L,
-                       dirichlet_L_series, gauss_sum, lerch_from_hurwitz,
-                       load_character_csv, phi_integral, polylog_series,
-                       verify_six_relations)
+import lerchzeta.identities as identities
+from lerchzeta import (CharacterTable, DomainError, PoleError,
+                       builtin_characters, dirichlet_L, dirichlet_L_series,
+                       gauss_sum, lerch_from_hurwitz, phi_integral,
+                       polylog_series, verify_six_relations)
 
 CATALAN = 0.9159655941772190   # 1 - 1/9 + 1/25 - ..., frozen from mpmath
 
@@ -31,29 +32,18 @@ class TestCharacterTable:
         with pytest.raises(DomainError):
             builtin_characters(5)
 
-    def test_csv_roundtrip(self, tmp_path):
-        path = tmp_path / "chi3.csv"
-        path.write_text("q=3\n1, 1, 0\n2, -1, 0\n3, 0, 0\n")
-        chi = load_character_csv(path)
-        assert chi.q == 3
-        assert [chi.chi(n) for n in (1, 2, 3)] == [1, -1, 0]
-
-    def test_csv_rejects_invalid_tables(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("q=3\n1, 1, 0\n2, 2, 0\n3, 0, 0\n")   # |chi(2)| != 1
+    def test_csv_rejects_invalid_tables(self):
+        # caller-built tables: validate() checks the character axioms, the
+        # constructor the table length
         with pytest.raises(DomainError):
-            load_character_csv(bad)
-        nohdr = tmp_path / "nohdr.csv"
-        nohdr.write_text("1, 1, 0\n")
+            CharacterTable(3, (1, 2, 0)).validate()   # |chi(2)| != 1
         with pytest.raises(DomainError):
-            load_character_csv(nohdr)
+            CharacterTable(3, (1, -1))
 
-    def test_complex_character_from_csv(self, tmp_path):
+    def test_complex_character_from_csv(self):
         # quartic character mod 5 (chi(2) = i on the generator 2); exercises
         # genuinely complex caller-supplied tables end to end
-        path = tmp_path / "chi5.csv"
-        path.write_text("q=5\n1, 1, 0\n2, 0, 1\n3, 0, -1\n4, -1, 0\n5, 0, 0\n")
-        chi5 = load_character_csv(path)
+        chi5 = CharacterTable(5, (1, 1j, -1j, -1, 0))
         chi5.validate()
         g = gauss_sum(chi5.conjugate())
         assert abs(abs(g) - math.sqrt(5.0)) <= 1e-13
@@ -167,6 +157,22 @@ class TestSixRelations:
 
     def test_q1_collapses(self):
         assert verify_six_relations(2.0, 1).max_residual <= 1e-12
+
+    def test_each_L_series_summed_once(self, monkeypatch):
+        # one direct L series per character of every level q/g: 2 + 1 + 1
+        # at q = 4, 2 + 1 at q = 3
+        calls = []
+        series = identities.dirichlet_L_series
+
+        def counted(sigma, chi):
+            calls.append(chi.label)
+            return series(sigma, chi)
+
+        monkeypatch.setattr(identities, "dirichlet_L_series", counted)
+        for q, want in ((4, 4), (3, 3)):
+            calls.clear()
+            verify_six_relations(2.5, q)
+            assert len(calls) == want and len(set(calls)) == want, calls
 
     def test_unsupported(self):
         with pytest.raises(DomainError):

@@ -112,14 +112,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         a += args.a_step
     cells = sorted(((a, z) for a in a_values for z in z_list),
                    key=lambda cell: (cell[0], cell[1].real, cell[1].imag))
-    rows = [_scan_cell(a, z, args.tol) for a, z in cells]
+    # open --out before the first cell, so a bad path costs no scan
     try:
-        with open(args.out, "w") as fh:
-            fh.write(_SCAN_HEADER + "\n")
-            for line in rows:
-                fh.write(line + "\n")
+        fh = open(args.out, "w")
     except OSError as exc:
         raise LerchZetaError(f"cannot write {args.out}: {exc}") from exc
+    with fh:
+        rows = [_scan_cell(a, z, args.tol) for a, z in cells]
+        fh.write(_SCAN_HEADER + "\n")
+        for line in rows:
+            fh.write(line + "\n")
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return 0
 

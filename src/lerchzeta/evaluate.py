@@ -40,10 +40,27 @@ with the kernel K picked from (z == 1, sign of sigma), split at x = 1:
 
 Accumulation uses math.fsum for the handful of combined pieces and numpy's
 pairwise reduction inside the quadrature rules.
+
+Reuse per (a, z): the series, integral and dispatch live on one private
+object per (a, z) and tol (_Cell), which checks a, z and tol once and keeps
+what does not depend on sigma once built: the head coefficients
+(h_series_coeffs(a) or gz_taylor_coeffs(a, z)) with delta, the kernel
+samples of each tanh-sinh level on [delta, 1] for sigma < 0 and for
+sigma > 0, log x, a x and the tail denominator of each exp-sinh level, and
+z^n over the first 2048-term series chunk.  What depends on sigma is
+computed on every call: x^{sigma-1}, the exp-sinh exponential, the head
+terms, Gamma(sigma), the tail bounds and the pieces with their error sums.
+The expressions and their order are those of a fresh object, so a reused
+object returns the same bits.  evaluate, phi_series and phi_integral build
+one object and call it once; zeros.scan_zeros and zeros.check_case3 keep
+one for all the sigma of their (a, z).  The object lives as long as its
+caller holds it: nothing is cached across (a, z).
 """
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -108,76 +125,6 @@ class EvalResult:
     value: complex
     abs_err_estimate: float
     method: Method
-
-
-# --------------------------------------------------------------------------
-# series route
-# --------------------------------------------------------------------------
-
-def phi_series(sigma: float, a: float, z: complex,
-               tol: float = 1e-10) -> EvalResult:
-    """Direct summation of sum_{n>=0} z^n (n+a)^{-sigma}, up to ~2e6 terms.
-
-    Requires sigma > 1 on the unit circle; converges geometrically for
-    |z| < 1 at any real sigma.  Terms are summed in chunks of 2048 with
-    numpy's pairwise reduction until the tail bound meets tol.  The tail
-    bound is the smaller of the geometric next-term bound (|z| < 1) and,
-    for sigma > 1, the integral bound (n0-1+a)^{1-sigma}/(sigma-1); the
-    recorded error adds 8 eps times the sum of the term magnitudes for
-    rounding.  tol is the absolute target; a tail bound still above it at
-    the term cap is SeriesDivergenceError, raised before any term is summed
-    when sigma > 1.
-    """
-    sigma = float(sigma)
-    if not math.isfinite(sigma):
-        raise DomainError(f"sigma must be finite, got {sigma}")
-    a = _check_a(a)
-    z = _check_z(z)
-    tol = _check_tol(tol)
-    if _is_unit(z) and sigma <= 1.0:
-        raise SeriesDivergenceError(
-            "the series diverges for |z| = 1 and sigma <= 1; use an integral path")
-    az = abs(z)
-    zz: float | complex = z.real if z.imag == 0.0 else z
-
-    def tail_bound(n0: int, err: float) -> float:
-        """The tail bound after n0 terms; err is the bound before."""
-        eff_r = az * math.exp(max(0.0, -sigma) / (n0 + a))
-        if eff_r < 1.0:
-            err = (az ** (n0 - 1) * (n0 - 1 + a) ** (-sigma)
-                   * eff_r / (1.0 - eff_r))
-        if sigma > 1.0:
-            # tail <= int_{n0-1+a}^inf x^-sigma dx, for any |z| <= 1
-            err = min(err, (n0 - 1 + a) ** (1.0 - sigma) / (sigma - 1.0))
-        return err
-
-    re: list[float] = []
-    im: list[float] = []
-    mag: list[float] = []
-    n0 = 0
-    err = math.inf
-    if sigma > 1.0:
-        # both bounds fall as n0 grows, so the bound after the last chunk
-        # decides a refusal before any term is summed
-        end_err = tail_bound(_SERIES_END, math.inf)
-        if not end_err <= tol:
-            n0, err = _SERIES_END, end_err
-    while n0 < _SERIES_MAX_TERMS and not err <= tol:
-        n = np.arange(n0, n0 + _SERIES_CHUNK, dtype=float)
-        terms = np.power(zz, n) * (n + a) ** (-sigma)
-        re.append(float(terms.real.sum()))
-        im.append(float(terms.imag.sum()))
-        mag.append(float(np.abs(terms).sum()))
-        n0 += _SERIES_CHUNK
-        err = tail_bound(n0, err)
-    if not err <= tol:
-        raise SeriesDivergenceError(
-            f"series tail bound {err:.2e} above tol = {tol:g} after {n0} "
-            f"terms (|z| = {az}, sigma = {sigma}); use an integral path")
-    # the rounding term scales with sum |terms|, not |value|: a cancelling
-    # sum keeps the rounding error of its largest terms
-    return EvalResult(complex(fsum(re), fsum(im)),
-                      err + 8.0 * _EPS * fsum(mag), Method.SERIES)
 
 
 # --------------------------------------------------------------------------
@@ -256,10 +203,235 @@ def hurwitz_em(sigma: float, a: float) -> EvalResult:
     err = remainder + 8.0 * _EPS * fsum(abs(p) for p in pieces)
     return EvalResult(complex(value, 0.0), err, Method.EULER_MACLAURIN)
 
+# --------------------------------------------------------------------------
+# one (a, z): the series and integral routes and the dispatch
+# --------------------------------------------------------------------------
+
+def _by_level(store: list, build, use):
+    """An integrand for tanh_sinh or exp_sinh that keeps its sigma-independent
+    part per level.  quadrature._refine makes the n-th call the one for
+    level n, so build(x) runs once per level over all the calls that share
+    store, and use(store[n], x) runs on every call."""
+    levels = itertools.count()
+
+    def f(x: np.ndarray) -> np.ndarray:
+        level = next(levels)
+        if level == len(store):
+            store.append(build(x))
+        return use(store[level], x)
+    return f
+
+
+class _Cell:
+    """Phi(., a, z) for one (a, z) and tol, which are checked once.
+
+    What depends on (a, z) alone is built on first use and kept for the
+    lifetime of the object: the head coefficients with delta, the kernel
+    samples of each tanh-sinh level on [delta, 1] (one list per sign of
+    sigma), log x, a x and the tail denominator of each exp-sinh level, and
+    the powers z^n of the first series chunk.  Each call then computes only
+    what depends on sigma, with the same expressions in the same order as a
+    fresh object, so reuse changes no bit.  Calling the object is
+    evaluate's dispatch.
+    """
+
+    def __init__(self, a: float, z: complex, tol: float):
+        self.a = _check_a(a)
+        self.z = _check_z(z)
+        self.tol = _check_tol(tol)
+        self._zz: float | complex = self.z.real if self.z.imag == 0.0 else self.z
+        self._mid: dict[bool, list] = {True: [], False: []}
+        self._tail: list = []
+
+    # -- series ------------------------------------------------------------
+
+    @functools.cached_property
+    def _first_chunk(self) -> tuple[np.ndarray, np.ndarray]:
+        """(z^n, n + a) for the first series chunk, n = 0..2047."""
+        n = np.arange(0, _SERIES_CHUNK, dtype=float)
+        return np.power(self._zz, n), n + self.a
+
+    def series(self, sigma: float) -> EvalResult:
+        """phi_series, for a finite float sigma."""
+        a, z, tol = self.a, self.z, self.tol
+        if _is_unit(z) and sigma <= 1.0:
+            raise SeriesDivergenceError(
+                "the series diverges for |z| = 1 and sigma <= 1; use an integral path")
+        az = abs(z)
+
+        def tail_bound(n0: int, err: float) -> float:
+            """The tail bound after n0 terms; err is the bound before."""
+            eff_r = az * math.exp(max(0.0, -sigma) / (n0 + a))
+            if eff_r < 1.0:
+                err = (az ** (n0 - 1) * (n0 - 1 + a) ** (-sigma)
+                       * eff_r / (1.0 - eff_r))
+            if sigma > 1.0:
+                # tail <= int_{n0-1+a}^inf x^-sigma dx, for any |z| <= 1
+                err = min(err, (n0 - 1 + a) ** (1.0 - sigma) / (sigma - 1.0))
+            return err
+
+        re: list[float] = []
+        im: list[float] = []
+        mag: list[float] = []
+        n0 = 0
+        err = math.inf
+        if sigma > 1.0:
+            # both bounds fall as n0 grows, so the bound after the last chunk
+            # decides a refusal before any term is summed
+            end_err = tail_bound(_SERIES_END, math.inf)
+            if not end_err <= tol:
+                n0, err = _SERIES_END, end_err
+        while n0 < _SERIES_MAX_TERMS and not err <= tol:
+            if n0:
+                n = np.arange(n0, n0 + _SERIES_CHUNK, dtype=float)
+                zn, na = np.power(self._zz, n), n + a
+            else:
+                zn, na = self._first_chunk
+            terms = zn * na ** (-sigma)
+            re.append(float(terms.real.sum()))
+            im.append(float(terms.imag.sum()))
+            mag.append(float(np.abs(terms).sum()))
+            n0 += _SERIES_CHUNK
+            err = tail_bound(n0, err)
+        if not err <= tol:
+            raise SeriesDivergenceError(
+                f"series tail bound {err:.2e} above tol = {tol:g} after {n0} "
+                f"terms (|z| = {az}, sigma = {sigma}); use an integral path")
+        # the rounding term scales with sum |terms|, not |value|: a cancelling
+        # sum keeps the rounding error of its largest terms
+        return EvalResult(complex(fsum(re), fsum(im)),
+                          err + 8.0 * _EPS * fsum(mag), Method.SERIES)
+
+    # -- integral ----------------------------------------------------------
+
+    @functools.cached_property
+    def _head(self) -> tuple[np.ndarray, float]:
+        """(c, delta): the power series of the kernel near 0 and its reach."""
+        if self.z == 1:
+            # Bernoulli series of H; G drops its constant term B_1(1-a) = C
+            return h_series_coeffs(self.a), _HEAD_DELTA
+        # keep the head strictly inside the Taylor radius |log z| of G_z
+        delta = min(_HEAD_DELTA, 0.35 * abs(np.log(complex(self.z))))
+        return gz_taylor_coeffs(self.a, self.z), delta
+
+    def _kernel(self, neg: bool):
+        a, zz = self.a, self._zz
+        if self.z == 1:
+            return (lambda x: kernel_G(a, x)) if neg else (lambda x: kernel_H(a, x))
+        if neg:
+            return lambda x: kernel_Gz(a, zz, x)
+        # G_z + C: nothing is subtracted
+        return lambda x: np.exp((1.0 - a) * x) / (np.exp(x) - zz)
+
+    def _tail_parts(self, x: np.ndarray) -> tuple:
+        """log x, a x and the tail denominator at the exp-sinh nodes x."""
+        den = -np.expm1(-x) if self.z == 1 else 1.0 - self._zz * np.exp(-x)
+        return np.log(x), self.a * x, den
+
+    def integral(self, sigma: float) -> EvalResult:
+        """phi_integral, for a float sigma."""
+        a, z = self.a, self.z
+        top = 1.0 if z == 1 else math.inf
+        if not (-1.0 < sigma < 0.0 or 0.0 < sigma < top):
+            raise DomainError(f"the integral route needs sigma in (-1,0) u "
+                              f"(0,{top:g}) at z = {z}, got {sigma}")
+        if z != 1 and abs(1.0 - z) < _MIN_ONE_MINUS_Z:
+            raise ConditioningError(
+                f"|1 - z| = {abs(1.0 - z):.2e} < {_MIN_ONE_MINUS_Z}: the kernel "
+                "magnitude ~ 1/|1-z| makes the integral paths ill-conditioned")
+        gam = gamma_real(sigma)   # refuses sigma past ~171.6 before any work
+        neg = sigma < 0.0
+        s = _SPLIT
+        c, delta = self._head
+        if z == 1:
+            const = 0.5 - a
+            first = 1 if neg else 0
+            # |B_n(y)|/n! <= 2.01 (2pi)^{-n}: geometric truncation bound
+            ratio = delta / (2.0 * math.pi)
+            head_err = (2.01 * ratio ** (c.size + 1) / delta * delta ** sigma
+                        / (1.0 - ratio))
+            corr = -s ** (sigma - 1.0) / (1.0 - sigma)   # the 1/x part
+        else:
+            const = 1.0 / (1.0 - z)
+            first = 1
+            head_err = 2.0 * abs(c[-1]) * delta ** (c.size - 1 + sigma)
+            corr = 0.0
+        if neg:
+            corr += const * s ** sigma / sigma
+        # int_0^delta kernel * x^{sigma-1} dx, term by term from its power series
+        terms = [c[k] * delta ** (k + sigma) / (k + sigma)
+                 for k in range(first, c.size)]
+        if z != 1 and not neg:
+            terms.append(const * delta ** sigma / sigma)
+        head = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
+        qtol = 0.25 * self.tol
+        # an overflow ends as inf or nan, which the finiteness check below refuses
+        with np.errstate(over="ignore"):
+            mid = tanh_sinh(_by_level(self._mid[neg], self._kernel(neg),
+                                      lambda k, x: k * x ** (sigma - 1.0)),
+                            delta, s, tol=qtol, max_levels=_MAX_LEVELS)
+            tail = exp_sinh(_by_level(self._tail, self._tail_parts,
+                                      lambda p, x: np.exp((sigma - 1.0) * p[0]
+                                                          - p[1]) / p[2]),
+                            s, tol=qtol, max_levels=_MAX_LEVELS)
+        pieces = (head, mid.value, tail.value, corr)
+        re = fsum(p.real for p in pieces) / gam
+        im = fsum(p.imag for p in pieces) / gam
+        value = complex(re, 0.0) if z.imag == 0.0 else complex(re, im)
+        err = (head_err + mid.err + tail.err) / abs(gam) + 8.0 * _EPS * abs(value)
+        if not (cmath.isfinite(value) and math.isfinite(err)):
+            raise DomainError(f"Phi({sigma}, {a}, {z}) by the integral route "
+                              "exceeds the binary64 range")
+        if z != 1 and _is_unit(z):
+            method = Method.INTEGRAL_UNIT
+        else:
+            method = Method.INTEGRAL_NEG if neg else Method.INTEGRAL_POS
+        return EvalResult(value, float(err), method)
+
+    # -- dispatch ----------------------------------------------------------
+
+    def __call__(self, sigma: float) -> EvalResult:
+        """evaluate's dispatch, for a float sigma."""
+        a, z = self.a, self.z
+        if not -1.0 <= sigma < math.inf:
+            raise DomainError(f"sigma must be finite and >= -1, got {sigma}")
+        if sigma == 0.0 or sigma == -1.0:
+            return EvalResult(special_value(int(sigma), a, z), 0.0,
+                              Method.SPECIAL_VALUE)
+        if z == 1:
+            if sigma == 1.0:
+                raise PoleError("zeta(s,a) has a simple pole at s = 1")
+            if sigma > 1.0:
+                return hurwitz_em(sigma, a)
+        elif (abs(z) <= 0.9 or sigma >= _SERIES_MIN_SIGMA
+              or (sigma >= 1.5 and abs(1.0 - z) < _MIN_ONE_MINUS_Z)):
+            return self.series(sigma)
+        return self.integral(sigma)
+
 
 # --------------------------------------------------------------------------
-# integral routes
+# public routes: one (a, z), called once
 # --------------------------------------------------------------------------
+
+def phi_series(sigma: float, a: float, z: complex,
+               tol: float = 1e-10) -> EvalResult:
+    """Direct summation of sum_{n>=0} z^n (n+a)^{-sigma}, up to ~2e6 terms.
+
+    Requires sigma > 1 on the unit circle; converges geometrically for
+    |z| < 1 at any real sigma.  Terms are summed in chunks of 2048 with
+    numpy's pairwise reduction until the tail bound meets tol.  The tail
+    bound is the smaller of the geometric next-term bound (|z| < 1) and,
+    for sigma > 1, the integral bound (n0-1+a)^{1-sigma}/(sigma-1); the
+    recorded error adds 8 eps times the sum of the term magnitudes for
+    rounding.  tol is the absolute target; a tail bound still above it at
+    the term cap is SeriesDivergenceError, raised before any term is summed
+    when sigma > 1.
+    """
+    sigma = float(sigma)
+    if not math.isfinite(sigma):
+        raise DomainError(f"sigma must be finite, got {sigma}")
+    return _Cell(a, z, tol).series(sigma)
+
 
 def phi_integral(sigma: float, a: float, z: complex,
                  tol: float = 1e-10) -> EvalResult:
@@ -277,82 +449,8 @@ def phi_integral(sigma: float, a: float, z: complex,
     estimate outside binary64 is DomainError.
     """
     sigma = float(sigma)
-    a = _check_a(a)
-    z = _check_z(z)
-    tol = _check_tol(tol)
-    top = 1.0 if z == 1 else math.inf
-    if not (-1.0 < sigma < 0.0 or 0.0 < sigma < top):
-        raise DomainError(f"the integral route needs sigma in (-1,0) u "
-                          f"(0,{top:g}) at z = {z}, got {sigma}")
-    if z != 1 and abs(1.0 - z) < _MIN_ONE_MINUS_Z:
-        raise ConditioningError(
-            f"|1 - z| = {abs(1.0 - z):.2e} < {_MIN_ONE_MINUS_Z}: the kernel "
-            "magnitude ~ 1/|1-z| makes the integral paths ill-conditioned")
-    gam = gamma_real(sigma)   # refuses sigma past ~171.6 before any work
-    neg = sigma < 0.0
-    real_z = z.imag == 0.0
-    zz: float | complex = z.real if real_z else z
-    s = _SPLIT
-    if z == 1:
-        const = 0.5 - a
-        delta = _HEAD_DELTA
-        # Bernoulli series of H; G drops its constant term B_1(1-a) = C
-        c = h_series_coeffs(a)
-        first = 1 if neg else 0
-        # |B_n(y)|/n! <= 2.01 (2pi)^{-n}: geometric truncation bound
-        ratio = delta / (2.0 * math.pi)
-        head_err = (2.01 * ratio ** (c.size + 1) / delta * delta ** sigma
-                    / (1.0 - ratio))
-        kernel = (lambda x: kernel_G(a, x)) if neg else (lambda x: kernel_H(a, x))
-        tail_den = lambda x: -np.expm1(-x)
-        corr = -s ** (sigma - 1.0) / (1.0 - sigma)   # the 1/x part
-    else:
-        const = 1.0 / (1.0 - z)
-        # keep the head strictly inside the Taylor radius |log z| of G_z
-        delta = min(_HEAD_DELTA, 0.35 * abs(np.log(complex(z))))
-        c = gz_taylor_coeffs(a, z)
-        first = 1
-        head_err = 2.0 * abs(c[-1]) * delta ** (c.size - 1 + sigma)
-        if neg:
-            kernel = lambda x: kernel_Gz(a, zz, x)
-        else:   # G_z + C: nothing is subtracted
-            kernel = lambda x: np.exp((1.0 - a) * x) / (np.exp(x) - zz)
-        tail_den = lambda x: 1.0 - zz * np.exp(-x)
-        corr = 0.0
-    if neg:
-        corr += const * s ** sigma / sigma
-    # int_0^delta kernel * x^{sigma-1} dx, term by term from its power series
-    terms = [c[k] * delta ** (k + sigma) / (k + sigma)
-             for k in range(first, c.size)]
-    if z != 1 and not neg:
-        terms.append(const * delta ** sigma / sigma)
-    head = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
-    qtol = 0.25 * tol
-    # an overflow ends as inf or nan, which the finiteness check below refuses
-    with np.errstate(over="ignore"):
-        mid = tanh_sinh(lambda x: kernel(x) * x ** (sigma - 1.0),
-                        delta, s, tol=qtol, max_levels=_MAX_LEVELS)
-        tail = exp_sinh(lambda x: np.exp((sigma - 1.0) * np.log(x) - a * x)
-                        / tail_den(x),
-                        s, tol=qtol, max_levels=_MAX_LEVELS)
-    pieces = (head, mid.value, tail.value, corr)
-    re = fsum(p.real for p in pieces) / gam
-    im = fsum(p.imag for p in pieces) / gam
-    value = complex(re, 0.0) if real_z else complex(re, im)
-    err = (head_err + mid.err + tail.err) / abs(gam) + 8.0 * _EPS * abs(value)
-    if not (cmath.isfinite(value) and math.isfinite(err)):
-        raise DomainError(f"Phi({sigma}, {a}, {z}) by the integral route "
-                          "exceeds the binary64 range")
-    if z != 1 and _is_unit(z):
-        method = Method.INTEGRAL_UNIT
-    else:
-        method = Method.INTEGRAL_NEG if neg else Method.INTEGRAL_POS
-    return EvalResult(value, float(err), method)
+    return _Cell(a, z, tol).integral(sigma)
 
-
-# --------------------------------------------------------------------------
-# dispatcher
-# --------------------------------------------------------------------------
 
 def evaluate(sigma: float, a: float, z: complex,
              tol: float = 1e-10) -> EvalResult:
@@ -369,20 +467,4 @@ def evaluate(sigma: float, a: float, z: complex,
     SeriesDivergenceError when its term cap cannot meet tol.
     """
     sigma = float(sigma)
-    a = _check_a(a)
-    z = _check_z(z)
-    tol = _check_tol(tol)
-    if not -1.0 <= sigma < math.inf:
-        raise DomainError(f"sigma must be finite and >= -1, got {sigma}")
-    if sigma == 0.0 or sigma == -1.0:
-        return EvalResult(special_value(int(sigma), a, z), 0.0,
-                          Method.SPECIAL_VALUE)
-    if z == 1:
-        if sigma == 1.0:
-            raise PoleError("zeta(s,a) has a simple pole at s = 1")
-        if sigma > 1.0:
-            return hurwitz_em(sigma, a)
-    elif (abs(z) <= 0.9 or sigma >= _SERIES_MIN_SIGMA
-          or (sigma >= 1.5 and abs(1.0 - z) < _MIN_ONE_MINUS_Z)):
-        return phi_series(sigma, a, z, tol=tol)
-    return phi_integral(sigma, a, z, tol)
+    return _Cell(a, z, tol)(sigma)

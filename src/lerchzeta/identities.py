@@ -30,6 +30,7 @@ other character is a CharacterTable(q, values), checked by validate().
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -184,9 +185,12 @@ def dirichlet_L(sigma: float, chi: CharacterTable) -> EvalResult:
     return _hurwitz_combination(float(sigma), chi.values)
 
 
+@functools.lru_cache(maxsize=1)
 def _zeta_series_direct(sigma: float) -> float:
     """sum_m m^{-sigma} (sigma > 1) by plain summation plus the elementary
-    integral tail  M^{1-s}/(s-1) - M^{-s}/2 + s M^{-s-1}/12."""
+    integral tail  M^{1-s}/(s-1) - M^{-s}/2 + s M^{-s-1}/12.  The last
+    sigma is kept: verify_six_relations asks for the same zeta(sigma) once
+    per principal character and once more for Li at r = q."""
     m = np.arange(1, _SERIES_TERMS + 1, dtype=float)
     partial = float(np.sum(m ** (-sigma)))
     M = float(_SERIES_TERMS)

@@ -92,7 +92,12 @@ def _refine(level_sum: Callable[[int], tuple[complex, int]], scale: float,
             tol: float, max_levels: int) -> QuadResult:
     """The level loop both rules share.  level_sum(level) returns the
     weighted integrand sum over that level's new nodes and their count; the
-    estimate at step h = 2^-level is scale * h times the running sum."""
+    estimate at step h = 2^-level is scale * h times the running sum.
+
+    level_sum is called exactly once per level, in the order 0, 1, 2, ...,
+    so the integrand of tanh_sinh or exp_sinh sees its n-th call at level
+    n; evaluate relies on this to keep sigma-independent samples per level.
+    """
     running = 0.0 + 0.0j
     prev = None
     value = 0.0 + 0.0j

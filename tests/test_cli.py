@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from lerchzeta import cli
 from lerchzeta.cli import main
 
 
@@ -155,11 +156,18 @@ class TestScan:
         z_res = sorted(float(r.split(",")[1]) for r in rows)
         assert z_res == [-1.0, 0.5]
 
-    def test_unwritable_path(self, capsys):
+    def test_unwritable_path(self, capsys, monkeypatch, tmp_path):
+        # the path is checked before the first cell is scanned
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scan_zeros called before --out was opened")
+
+        monkeypatch.setattr(cli, "scan_zeros", no_scan)
+        out = str(tmp_path / "missing-dir" / "x.csv")
         code = main(["scan", "--a-min", "0.4", "--a-max", "0.4", "--a-step",
-                     "0.1", "--z", "1", "--out", "/nonexistent-dir/x.csv"])
-        _, err = capsys.readouterr().out, capsys.readouterr().err
+                     "0.1", "--z", "1", "--out", out])
+        err = capsys.readouterr().err
         assert code == 2
+        assert f"cannot write {out}" in err
 
 
 class TestVerify:

@@ -3,17 +3,20 @@ representations and the dispatcher.  Frozen references come from 50-digit
 mpmath runs (zeta/lerchphi); classical constants are written as formulas.
 """
 import cmath
+import importlib
 import math
 import time
 
 import numpy as np
 import pytest
 
-from lerchzeta import (ConditioningError, DomainError, Method, PoleError,
-                       SeriesDivergenceError, builtin_characters, check_case3,
+from lerchzeta import (ConditioningError, DomainError, LerchZetaError,
+                       Method, PoleError, SeriesDivergenceError, builtin_characters, check_case3,
                        dirichlet_L, evaluate, hurwitz_em, lerch_from_hurwitz,
                        phi_fe_rhs, phi_integral, phi_series, scan_zeros,
                        special_value, zeta_fe_rhs)
+
+_EVALUATE = importlib.import_module("lerchzeta.evaluate")   # the module
 
 PI2_6 = math.pi ** 2 / 6.0
 PI2_12 = math.pi ** 2 / 12.0
@@ -403,6 +406,39 @@ class TestDispatcher:
         # these returned nan, inf or 0 instead of refusing
         with pytest.raises(DomainError):
             route(*args)
+
+
+def _hex(call):
+    """(value, abs_err_estimate, method) in hex, or the error's type and
+    message."""
+    try:
+        r = call()
+    except LerchZetaError as exc:
+        return type(exc), str(exc)
+    return (r.value.real.hex(), r.value.imag.hex(), r.abs_err_estimate.hex(),
+            r.method)
+
+
+class TestCellReuse:
+    @pytest.mark.parametrize("z, a", [
+        (1.0, 0.1), (-1.0, 0.37), (0.95, 0.62), (0.5, 0.9), (-0.3, 0.05),
+        (cmath.exp(1j), 0.43),
+    ], ids=["one", "minus_one", "z0.95", "z0.5", "z-0.3", "unit"])
+    def test_reuse_matches_fresh_calls_bit_for_bit(self, z, a):
+        # one object across a seeded sigma sequence that alternates signs,
+        # so kernel levels are built by one call and reused out of order by
+        # the next, against a fresh evaluate per sigma; the tail of the list
+        # covers the closed forms, the pole and refusals
+        rng = np.random.default_rng(2026)
+        sigmas = []
+        for neg, pos in zip(rng.uniform(-1.0, 0.0, 20), rng.uniform(0.0, 4.5, 20)):
+            sigmas += [float(neg), float(pos)]
+        sigmas += [-1e-9, 1e-9, 0.0, -1.0, 1.0, -1.5, math.nan, 171.7]
+        for tol in (1e-10, 1e-6):
+            cell = _EVALUATE._Cell(a, z, tol)
+            for sigma in sigmas:
+                assert _hex(lambda: cell(sigma)) == _hex(
+                    lambda: evaluate(sigma, a, z, tol)), (sigma, tol)
 
 
 _CHI4 = builtin_characters(4)[1]

@@ -174,6 +174,16 @@ class TestSixRelations:
             verify_six_relations(2.5, q)
             assert len(calls) == want and len(set(calls)) == want, calls
 
+    def test_zeta_series_summed_once(self):
+        # zeta(sigma) is asked for once per principal character and once
+        # for Li at r = q: 4 requests at q = 4, 3 at q = 3, one sum each
+        zeta = identities._zeta_series_direct
+        for q, requests in ((4, 4), (3, 3)):
+            zeta.cache_clear()
+            verify_six_relations(2.5, q)
+            info = zeta.cache_info()
+            assert (info.misses, info.hits) == (1, requests - 1), info
+
     def test_unsupported(self):
         with pytest.raises(DomainError):
             verify_six_relations(2.5, 5)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lerchzeta import exp_sinh, tanh_sinh
+from lerchzeta.quadrature import _refine
 
 
 class TestTanhSinh:
@@ -68,3 +69,34 @@ class TestExpSinh:
     def test_gamma_like_integrand(self):
         res = exp_sinh(lambda x: np.exp(2.5 * np.log(x) - x), 0.0, tol=1e-12)
         assert res.value.real == pytest.approx(math.gamma(3.5), rel=1e-11)
+
+
+class TestRefine:
+    # evaluate keeps sigma-independent integrand parts per level and finds
+    # the level of a call by counting calls, so each level is visited once,
+    # in order, starting at 0
+    def test_levels_in_order_once_each(self):
+        for tol, max_levels in ((1e-3, 11), (0.0, 6)):
+            seen = []
+
+            def level_sum(level):
+                seen.append(level)
+                return 2.0 ** -level, 1
+
+            res = _refine(level_sum, 1.0, tol, max_levels)
+            assert seen == list(range(res.levels + 1))
+        assert res.levels == max_levels      # tol = 0 runs to the cap
+
+    def test_one_integrand_call_per_level(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(-x)
+
+        for rule in (lambda: tanh_sinh(f, 0.0, 1.0, tol=1e-13),
+                     lambda: exp_sinh(f, 1.0, tol=1e-13)):
+            calls.clear()
+            res = rule()
+            assert len(calls) == res.levels + 1
+            assert sum(calls) == res.evals

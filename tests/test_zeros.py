@@ -1,5 +1,7 @@
 """Region classifier and real-zero scanner tests."""
+import importlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -93,6 +95,25 @@ class TestScanZeros:
         left = evaluate(root - 1e-4, 0.1, -1.0, FAST).value.real
         right = evaluate(root + 1e-4, 0.1, -1.0, FAST).value.real
         assert left * right < 0.0
+
+    def test_coefficients_built_once_per_cell(self, monkeypatch):
+        # one per-(a, z) object per cell: the head table once, and at z = 1
+        # one more h_series_coeffs per tanh-sinh level that kernel_G samples
+        evaluate_mod = importlib.import_module("lerchzeta.evaluate")
+        kernels = importlib.import_module("lerchzeta.kernels")
+        calls = Counter()
+        for name in ("h_series_coeffs", "gz_taylor_coeffs"):
+            def counted(*args, _fn=getattr(kernels, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            for mod in (evaluate_mod, kernels):
+                monkeypatch.setattr(mod, name, counted)
+        scan_zeros(0.1, 1.0)
+        assert 1 <= calls["h_series_coeffs"] <= 1 + evaluate_mod._MAX_LEVELS + 1
+        assert calls["gz_taylor_coeffs"] == 0
+        calls.clear()
+        scan_zeros(0.1, -1.0)
+        assert calls == Counter(gz_taylor_coeffs=1)
 
     def test_domain_errors(self):
         with pytest.raises(WrongPathError):

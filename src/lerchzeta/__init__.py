@@ -19,7 +19,7 @@ from .kernels import kernel_G, kernel_Gz, kernel_H
 from .quadrature import QuadResult, exp_sinh, tanh_sinh
 from .special import (bernoulli_number, bernoulli_numbers, bernoulli_poly,
                       gamma_real, principal_log)
-from .verify import CheckResult, run_suite, suite_names
+from .verify import run_suite, suite_names
 from .zeros import (B2_ROOT_LOWER, B2_ROOT_UPPER, Region, RegionVerdict,
                     ZeroReport, check_case3, classify, scan_zeros)
 
@@ -27,7 +27,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "B2_ROOT_LOWER", "B2_ROOT_UPPER", "CharacterTable",
-    "CheckResult", "ConditioningError", "DegreeOverflowError", "DomainError",
+    "ConditioningError", "DegreeOverflowError", "DomainError",
     "EvalResult", "LerchZetaError", "Method", "PoleError",
     "QuadResult", "Region", "RegionVerdict",
     "SeriesDivergenceError", "SignConstancyError", "SixRelationsReport",

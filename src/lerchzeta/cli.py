@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .errors import LerchZetaError
@@ -112,13 +113,17 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         a += args.a_step
     cells = sorted(((a, z) for a in a_values for z in z_list),
                    key=lambda cell: (cell[0], cell[1].real, cell[1].imag))
-    # open --out before the first cell, so a bad path costs no scan
+    # check --out before the first cell, so a bad path costs no scan, and
+    # write it after the last, so a failed scan leaves it as it was
+    existed = os.path.exists(args.out)
     try:
-        fh = open(args.out, "w")
+        open(args.out, "a").close()
     except OSError as exc:
         raise LerchZetaError(f"cannot write {args.out}: {exc}") from exc
-    with fh:
-        rows = [_scan_cell(a, z, args.tol) for a, z in cells]
+    if not existed:
+        os.remove(args.out)
+    rows = [_scan_cell(a, z, args.tol) for a, z in cells]
+    with open(args.out, "w") as fh:
         fh.write(_SCAN_HEADER + "\n")
         for line in rows:
             fh.write(line + "\n")

@@ -44,23 +44,25 @@ pairwise reduction inside the quadrature rules.
 Reuse per (a, z): the series, integral and dispatch live on one private
 object per (a, z) and tol (_Cell), which checks a, z and tol once and keeps
 what does not depend on sigma once built: the head coefficients
-(h_series_coeffs(a) or gz_taylor_coeffs(a, z)) with delta, the kernel
-samples of each tanh-sinh level on [delta, 1] for sigma < 0 and for
-sigma > 0, log x, a x and the tail denominator of each exp-sinh level, and
-z^n over the first 2048-term series chunk.  What depends on sigma is
-computed on every call: x^{sigma-1}, the exp-sinh exponential, the head
-terms, Gamma(sigma), the tail bounds and the pieces with their error sums.
-The expressions and their order are those of a fresh object, so a reused
-object returns the same bits.  evaluate, phi_series and phi_integral build
-one object and call it once; zeros.scan_zeros and zeros.check_case3 keep
-one for all the sigma of their (a, z).  The object lives as long as its
-caller holds it: nothing is cached across (a, z).
+(h_series_coeffs(a) or gz_taylor_coeffs(a, z)) with delta; per tanh-sinh
+level on [delta, 1] and sign of sigma, the nodes, weights and kernel
+samples; per exp-sinh level on [1, inf), the weights, log x, a x and tail
+denominator; and z^n over the first 2048-term series chunk.  quadrature's
+level loop asks for a level by its number, and the object builds that
+level's arrays from quadrature's node tables on first request.  What
+depends on sigma is computed on every call: x^{sigma-1}, the exp-sinh
+exponential, the head terms, Gamma(sigma), the tail bounds and the pieces
+with their error sums.  The expressions and their order are those of a
+fresh object, so a reused object returns the same bits.  evaluate,
+phi_series and phi_integral build one object and call it once;
+zeros.scan_zeros and zeros.check_case3 keep one for all the sigma of their
+(a, z).  The object lives as long as its caller holds it: nothing is cached
+across (a, z).
 """
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -73,7 +75,7 @@ from .errors import (ConditioningError, DomainError, PoleError,
 from .kernels import (_check_a, _check_tol, _check_z, _is_unit,
                       gz_taylor_coeffs, h_series_coeffs, kernel_G, kernel_Gz,
                       kernel_H)
-from .quadrature import exp_sinh, tanh_sinh
+from .quadrature import _es_level_nodes, _refine, _ts_table
 from .special import bernoulli_number, bernoulli_poly, gamma_real
 
 __all__ = [
@@ -207,41 +209,18 @@ def hurwitz_em(sigma: float, a: float) -> EvalResult:
 # one (a, z): the series and integral routes and the dispatch
 # --------------------------------------------------------------------------
 
-def _by_level(store: list, build, use):
-    """An integrand for tanh_sinh or exp_sinh that keeps its sigma-independent
-    part per level.  quadrature._refine makes the n-th call the one for
-    level n, so build(x) runs once per level over all the calls that share
-    store, and use(store[n], x) runs on every call."""
-    levels = itertools.count()
-
-    def f(x: np.ndarray) -> np.ndarray:
-        level = next(levels)
-        if level == len(store):
-            store.append(build(x))
-        return use(store[level], x)
-    return f
-
-
 class _Cell:
-    """Phi(., a, z) for one (a, z) and tol, which are checked once.
-
-    What depends on (a, z) alone is built on first use and kept for the
-    lifetime of the object: the head coefficients with delta, the kernel
-    samples of each tanh-sinh level on [delta, 1] (one list per sign of
-    sigma), log x, a x and the tail denominator of each exp-sinh level, and
-    the powers z^n of the first series chunk.  Each call then computes only
-    what depends on sigma, with the same expressions in the same order as a
-    fresh object, so reuse changes no bit.  Calling the object is
-    evaluate's dispatch.
-    """
+    """Phi(., a, z) for one (a, z) and tol, which are checked once; what
+    depends on (a, z) alone is built on first use and kept (the module
+    docstring, "Reuse per (a, z)").  Calling it is evaluate's dispatch."""
 
     def __init__(self, a: float, z: complex, tol: float):
         self.a = _check_a(a)
         self.z = _check_z(z)
         self.tol = _check_tol(tol)
         self._zz: float | complex = self.z.real if self.z.imag == 0.0 else self.z
-        self._mid: dict[bool, list] = {True: [], False: []}
-        self._tail: list = []
+        self._mid: dict[tuple[bool, int], tuple] = {}
+        self._tail: dict[int, tuple] = {}
 
     # -- series ------------------------------------------------------------
 
@@ -314,19 +293,31 @@ class _Cell:
         delta = min(_HEAD_DELTA, 0.35 * abs(np.log(complex(self.z))))
         return gz_taylor_coeffs(self.a, self.z), delta
 
-    def _kernel(self, neg: bool):
-        a, zz = self.a, self._zz
-        if self.z == 1:
-            return (lambda x: kernel_G(a, x)) if neg else (lambda x: kernel_H(a, x))
-        if neg:
-            return lambda x: kernel_Gz(a, zz, x)
-        # G_z + C: nothing is subtracted
-        return lambda x: np.exp((1.0 - a) * x) / (np.exp(x) - zz)
+    def _mid_sum(self, neg: bool, sigma: float, level: int) -> tuple[complex, int]:
+        """tanh-sinh level `level` on [delta, 1]: its x, w and kernel samples
+        k are kept per (sign of sigma, level), and only x^{sigma-1} is new."""
+        if (neg, level) not in self._mid:
+            x, w = _ts_table(self._head[1], _SPLIT, level)
+            if self.z == 1:
+                k = kernel_G(self.a, x) if neg else kernel_H(self.a, x)
+            elif neg:
+                k = kernel_Gz(self.a, self._zz, x)
+            else:   # G_z + C: nothing is subtracted
+                k = np.exp((1.0 - self.a) * x) / (np.exp(x) - self._zz)
+            self._mid[neg, level] = x, w, k
+        x, w, k = self._mid[neg, level]
+        return (k * x ** (sigma - 1.0) * w).sum(), x.size
 
-    def _tail_parts(self, x: np.ndarray) -> tuple:
-        """log x, a x and the tail denominator at the exp-sinh nodes x."""
-        den = -np.expm1(-x) if self.z == 1 else 1.0 - self._zz * np.exp(-x)
-        return np.log(x), self.a * x, den
+    def _tail_sum(self, sigma: float, level: int) -> tuple[complex, int]:
+        """exp-sinh level `level` on [1, inf): its w, log x, a x and tail
+        denominator are kept per level, and only the exponential is new."""
+        if level not in self._tail:
+            offset, w = _es_level_nodes(level)
+            x = _SPLIT + offset
+            den = -np.expm1(-x) if self.z == 1 else 1.0 - self._zz * np.exp(-x)
+            self._tail[level] = w, np.log(x), self.a * x, den
+        w, log_x, ax, den = self._tail[level]
+        return (np.exp((sigma - 1.0) * log_x - ax) / den * w).sum(), w.size
 
     def integral(self, sigma: float) -> EvalResult:
         """phi_integral, for a float sigma."""
@@ -367,13 +358,11 @@ class _Cell:
         qtol = 0.25 * self.tol
         # an overflow ends as inf or nan, which the finiteness check below refuses
         with np.errstate(over="ignore"):
-            mid = tanh_sinh(_by_level(self._mid[neg], self._kernel(neg),
-                                      lambda k, x: k * x ** (sigma - 1.0)),
-                            delta, s, tol=qtol, max_levels=_MAX_LEVELS)
-            tail = exp_sinh(_by_level(self._tail, self._tail_parts,
-                                      lambda p, x: np.exp((sigma - 1.0) * p[0]
-                                                          - p[1]) / p[2]),
-                            s, tol=qtol, max_levels=_MAX_LEVELS)
+            # the level loops of tanh_sinh on [delta, 1] and exp_sinh on [1, inf)
+            mid = _refine(functools.partial(self._mid_sum, neg, sigma),
+                          0.5 * (s - delta), qtol, _MAX_LEVELS)
+            tail = _refine(functools.partial(self._tail_sum, sigma), 1.0, qtol,
+                           _MAX_LEVELS)
         pieces = (head, mid.value, tail.value, corr)
         re = fsum(p.real for p in pieces) / gam
         im = fsum(p.imag for p in pieces) / gam

@@ -7,6 +7,10 @@ refinement only evaluates the integrand at the new (odd-index) abscissas.
 The reported error is the difference of the last two levels, floored at a
 few ulps of the result, and is an estimate rather than a rigorous bound.
 
+Each rule is a node table per level (_ts_table, _es_level_nodes) and the
+level loop _refine, which asks for the weighted sum of a level by number; a
+caller with many integrands on one interval keeps per-level arrays of its own.
+
 Integrands are called with a numpy array of abscissas and must return an
 array (real or complex).  Endpoint singularities are never evaluated: the
 finite-interval abscissas are computed as offsets from the endpoints, so
@@ -74,7 +78,8 @@ def _ts_level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.cache
 def _es_level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """New exp-sinh nodes at this level: (offset, weight) with x = a + offset."""
+    """New exp-sinh nodes at this level: (offset, weight), x = a + offset on
+    [a, inf) for any a."""
     h = 2.0 ** (-level)
     if level == 0:
         t = np.arange(-int(_ES_TNEG / h), int(_ES_TPOS / h) + 1) * h
@@ -88,16 +93,21 @@ def _es_level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return offset, w
 
 
+def _ts_table(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """New tanh-sinh nodes at this level on [a, b]: (x, weight)."""
+    sig, om_sig, w = _ts_level_nodes(level)
+    # each abscissa from its nearer endpoint (exact when that endpoint is 0);
+    # nodes that still round onto an endpoint are dropped, not evaluated
+    x = np.where(sig <= 0.5, a + (b - a) * sig, b - (b - a) * om_sig)
+    keep = (x > a) & (x < b)
+    return x[keep], w[keep]
+
+
 def _refine(level_sum: Callable[[int], tuple[complex, int]], scale: float,
             tol: float, max_levels: int) -> QuadResult:
     """The level loop both rules share.  level_sum(level) returns the
-    weighted integrand sum over that level's new nodes and their count; the
-    estimate at step h = 2^-level is scale * h times the running sum.
-
-    level_sum is called exactly once per level, in the order 0, 1, 2, ...,
-    so the integrand of tanh_sinh or exp_sinh sees its n-th call at level
-    n; evaluate relies on this to keep sigma-independent samples per level.
-    """
+    weighted integrand sum over the new nodes of that level and their count;
+    the estimate at step h = 2^-level is scale * h times the running sum."""
     running = 0.0 + 0.0j
     prev = None
     value = 0.0 + 0.0j
@@ -131,20 +141,13 @@ def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     """
     if not b > a:
         raise ValueError("tanh_sinh requires b > a")
-    width = b - a
 
     def level_sum(level: int) -> tuple[complex, int]:
-        sig, om_sig, w = _ts_level_nodes(level)
-        # build each abscissa from its nearer endpoint (full precision when
-        # that endpoint is 0); nodes that still round onto an endpoint are
-        # dropped rather than evaluated on a possible singularity
-        x = np.where(sig <= 0.5, a + width * sig, b - width * om_sig)
-        keep = (x > a) & (x < b)
-        x = x[keep]
-        return (f(x) * w[keep]).sum(), x.size
+        x, w = _ts_table(a, b, level)
+        return (f(x) * w).sum(), x.size
 
-    # dx/dt = width * w / 2 since sig'(t) = (pi/4) cosh t / cosh^2 v
-    return _refine(level_sum, 0.5 * width, tol, max_levels)
+    # dx/dt = (b-a) w / 2 since sig'(t) = (pi/4) cosh t / cosh^2 v
+    return _refine(level_sum, 0.5 * (b - a), tol, max_levels)
 
 
 def exp_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,

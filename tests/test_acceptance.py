@@ -13,7 +13,8 @@ import pytest
 from lerchzeta import (B2_ROOT_LOWER, B2_ROOT_UPPER, Region, check_case3,
                        classify, hurwitz_em, phi_integral, phi_series,
                        scan_zeros, special_value)
-from lerchzeta.verify import suite_fe, suite_identities, suite_kernels
+from lerchzeta.verify import (suite_fe, suite_identities, suite_kernels,
+                             suite_signs)
 
 SCAN_CFG = 1e-8
 
@@ -136,16 +137,12 @@ class TestAcceptance:
 
     def test_criterion_5_sign_constancy(self):
         t0 = time.perf_counter()
-        sig_grid = np.linspace(-0.95, -0.05, 10)
-        min_margin = math.inf
-        for band, a_lo, a_hi, want in (("lower", B2_ROOT_LOWER, 0.5, 1.0),
-                                       ("upper", B2_ROOT_UPPER, 1.0, -1.0)):
-            for a in np.linspace(a_lo, a_hi, 10):
-                for s in sig_grid:
-                    res = phi_integral(s, a, 1.0)
-                    margin = want * res.value.real - res.abs_err_estimate
-                    min_margin = min(min_margin, margin)
+        results = suite_signs()
         elapsed = time.perf_counter() - t0
+        # the two band checks: min over a 10x10 grid of sign*value - err
+        bands = [r for r in results if " band " in r.name]
+        assert len(bands) == 2, [r.line() for r in results]
+        min_margin = min(r.measured for r in bands)
         ok = min_margin > 0.0 and elapsed < 60.0
         _report(5, ok, elapsed, 60,
                 f"min (sign*value - err) over both 10x10 bands: {min_margin:.2e} > 0")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lerchzeta import cli
+from lerchzeta import ConditioningError, cli
 from lerchzeta.cli import main
 
 
@@ -168,6 +168,25 @@ class TestScan:
         err = capsys.readouterr().err
         assert code == 2
         assert f"cannot write {out}" in err
+
+    def test_failed_scan_leaves_out_as_it_was(self, capsys, monkeypatch,
+                                              tmp_path):
+        # a cell that raises: a missing --out stays missing and an existing
+        # one keeps its bytes
+        def refuse(*args, **kwargs):
+            raise ConditioningError("refused cell")
+
+        monkeypatch.setattr(cli, "scan_zeros", refuse)
+        missing = tmp_path / "missing.csv"
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"a,z_re\nold rows\n")
+        for out in (missing, existing):
+            code = main(["scan", "--a-min", "0.4", "--a-max", "0.4", "--a-step",
+                         "0.1", "--z", "1", "--out", str(out)])
+            assert code == 2
+            assert "refused cell" in capsys.readouterr().err
+        assert not missing.exists()
+        assert existing.read_bytes() == b"a,z_re\nold rows\n"
 
 
 class TestVerify:

@@ -72,9 +72,8 @@ class TestExpSinh:
 
 
 class TestRefine:
-    # evaluate keeps sigma-independent integrand parts per level and finds
-    # the level of a call by counting calls, so each level is visited once,
-    # in order, starting at 0
+    # the shared level loop: each level from 0 up is summed once until tol
+    # or the cap stops it, and the eval count is that of the nodes summed
     def test_levels_in_order_once_each(self):
         for tol, max_levels in ((1e-3, 11), (0.0, 6)):
             seen = []

@@ -108,9 +108,26 @@ class TestScanZeros:
                 return _fn(*args)
             for mod in (evaluate_mod, kernels):
                 monkeypatch.setattr(mod, name, counted)
+        # and the node mapping of each quadrature level once per cell, where
+        # a rebuild per sigma would reach every level once per grid point
+        quadrature = importlib.import_module("lerchzeta.quadrature")
+        levels = {name: Counter() for name in ("_ts_level_nodes", "_es_level_nodes")}
+        for name, seen in levels.items():
+            def counted_level(level, _fn=getattr(quadrature, name), _seen=seen):
+                _seen[level] += 1
+                return _fn(level)
+            for mod in (evaluate_mod, quadrature):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted_level)
         scan_zeros(0.1, 1.0)
         assert 1 <= calls["h_series_coeffs"] <= 1 + evaluate_mod._MAX_LEVELS + 1
         assert calls["gz_taylor_coeffs"] == 0
+        # one tanh-sinh table per (sign of sigma, level), one exp-sinh table
+        # per level
+        for name, per_level in (("_ts_level_nodes", 2), ("_es_level_nodes", 1)):
+            seen = levels[name]
+            assert sorted(seen) == list(range(len(seen))) != [], seen
+            assert max(seen.values()) <= per_level, seen
         calls.clear()
         scan_zeros(0.1, -1.0)
         assert calls == Counter(gz_taylor_coeffs=1)

@@ -39,7 +39,8 @@ with the kernel K picked from (z == 1, sign of sigma), split at x = 1:
               int_1^inf x^{sigma-1} dx = -1/sigma      (sigma < 0)
 
 Accumulation uses math.fsum for the handful of combined pieces and numpy's
-pairwise reduction inside the quadrature rules.
+pairwise reduction inside the quadrature rules (the vector call below uses
+plain sums and adds their rounding to its estimate).
 
 Reuse per (a, z): the series, integral and dispatch live on one private
 object per (a, z) and tol (_Cell), which checks a, z and tol once and keeps
@@ -47,17 +48,35 @@ what does not depend on sigma once built: the head coefficients
 (h_series_coeffs(a) or gz_taylor_coeffs(a, z)) with delta; per tanh-sinh
 level on [delta, 1] and sign of sigma, the nodes, weights and kernel
 samples; per exp-sinh level on [1, inf), the weights, log x, a x and tail
-denominator; and z^n over the first 2048-term series chunk.  quadrature's
-level loop asks for a level by its number, and the object builds that
-level's arrays from quadrature's node tables on first request.  What
-depends on sigma is computed on every call: x^{sigma-1}, the exp-sinh
+denominator; and z^n over the first series chunk, which holds the smallest
+number of terms (at most 2048) whose tail bound at sigma = -1 meets tol.
+quadrature's level loop asks for a level by its number, and the object
+builds that level's arrays from quadrature's node tables on first request.
+
+A scalar call computes what depends on sigma: x^{sigma-1}, the exp-sinh
 exponential, the head terms, Gamma(sigma), the tail bounds and the pieces
 with their error sums.  The expressions and their order are those of a
 fresh object, so a reused object returns the same bits.  evaluate,
-phi_series and phi_integral build one object and call it once;
-zeros.scan_zeros and zeros.check_case3 keep one for all the sigma of their
-(a, z).  The object lives as long as its caller holds it: nothing is cached
-across (a, z).
+phi_series and phi_integral build one object and call it once.
+
+The vector call (_Cell.batch) takes many sigma of (-1, 0) in one pass over
+the same tables: x^{sigma-1} and the exp-sinh exponentials form
+(sigma x nodes) matrices, in blocks of a bounded size, reduced against the
+weighted kernel samples; the head terms and the series first chunk form
+(sigma x terms) matrices the same way; the closed-form parts (the constant
+C, the head bound, the [1, inf) corrections, Gamma) are the scalar
+expressions applied to the array; and quadrature's level loop runs every
+sigma as a column that stops at its own level.  Its sums are plain matrix
+reductions rather than fsum, so its values agree with the scalar calls
+within their estimates, not bit for bit; a sigma whose vector value is not
+finite takes the scalar call, so a batch raises only where a scalar call
+raises.  zeros.scan_zeros evaluates its 199-point grid and
+zeros.check_case3 its 9 sigma with one batch per (a, z).  Single sigma stay
+on the scalar call (evaluate, phi_integral, and the bisection and residuals
+of scan_zeros): a batch of one costs two to three times a warm scalar call
+(a = 0.3, z in {1, -1, 0.95, 0.5}), in the numpy dispatch of the matrix
+path.  The object lives as long as its caller
+holds it: nothing is cached across (a, z).
 """
 from __future__ import annotations
 
@@ -94,12 +113,11 @@ _HEAD_DELTA = 0.25          # head-series reach for the H/G kernels
 _MIN_ONE_MINUS_Z = 1e-3     # conditioning cap on the integral paths
 _SERIES_MAX_TERMS = 2_000_000   # term cap of phi_series
 _SERIES_CHUNK = 2048        # terms per numpy reduction in phi_series
-# n0 after the last chunk of phi_series, 2000896
-_SERIES_END = math.ceil(_SERIES_MAX_TERMS / _SERIES_CHUNK) * _SERIES_CHUNK
 _SERIES_MIN_SIGMA = 4.0     # evaluate: the series for |z| > 0.9 from here
 _EM_TERMS = 24              # hurwitz_em: terms summed directly
 _EM_CORRECTIONS = 8         # hurwitz_em: Bernoulli corrections, B_2..B_16
 _MAX_LEVELS = 11            # tanh-sinh / exp-sinh refinement cap (nodes ~ 2^levels)
+_TILE = 1 << 12             # entries of one (sigma x nodes) block of _Cell.batch
 
 
 class Method(str, Enum):
@@ -209,6 +227,31 @@ def hurwitz_em(sigma: float, a: float) -> EvalResult:
 # one (a, z): the series and integral routes and the dispatch
 # --------------------------------------------------------------------------
 
+def _dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for a real matrix m and a real or complex v of shape (nodes,)
+    or (nodes, k), by einsum: numpy's mixed real-complex matmul is two
+    orders of magnitude slower, and BLAS buffers would add to peak memory."""
+    if np.iscomplexobj(v):
+        return _dot(m, v.real) + 1j * _dot(m, v.imag)
+    return np.einsum("ij,j...->i...", m, v)
+
+
+def _exp_rows(p: np.ndarray, u: np.ndarray, v: np.ndarray,
+              q: np.ndarray | None = None) -> np.ndarray:
+    """sum_j exp(p_i u_j - q_j) v_j for every row i: the (rows x nodes)
+    matrix of exponentials reduced by _dot, built in blocks of at most
+    _TILE entries, so the working set grows with neither the rows nor the
+    level.  v is (nodes,) or (nodes, m), real or complex."""
+    out = 0.0
+    step = max(1, _TILE // p.size)
+    for j in range(0, u.size, step):
+        e = np.multiply.outer(p, u[j:j + step])
+        if q is not None:
+            e -= q[j:j + step]
+        out = out + _dot(np.exp(e, out=e), v[j:j + step])
+    return out
+
+
 class _Cell:
     """Phi(., a, z) for one (a, z) and tol, which are checked once; what
     depends on (a, z) alone is built on first use and kept (the module
@@ -224,10 +267,40 @@ class _Cell:
 
     # -- series ------------------------------------------------------------
 
+    def _tail_bound(self, sigma: float, n0: int, err: float = math.inf) -> float:
+        """The series tail bound after n0 terms; err is the bound before.
+        Each term from n0 on is at most eff_r times the one before, since
+        ((n+a)/(n-1+a))^{-sigma} <= e^{-sigma/(n0-1+a)} for n >= n0."""
+        a, az = self.a, abs(self.z)
+        eff_r = az * math.exp(max(0.0, -sigma) / (n0 - 1 + a))
+        if eff_r < 1.0:
+            err = (az ** (n0 - 1) * (n0 - 1 + a) ** (-sigma)
+                   * eff_r / (1.0 - eff_r))
+        if sigma > 1.0:
+            # tail <= int_{n0-1+a}^inf x^-sigma dx, for any |z| <= 1
+            err = min(err, (n0 - 1 + a) ** (1.0 - sigma) / (sigma - 1.0))
+        return err
+
     @functools.cached_property
     def _first_chunk(self) -> tuple[np.ndarray, np.ndarray]:
-        """(z^n, n + a) for the first series chunk, n = 0..2047."""
-        n = np.arange(0, _SERIES_CHUNK, dtype=float)
+        """(z^n, n + a) for the first series chunk, n = 0..m-1.  m is the
+        smallest n >= 2 whose tail bound at sigma = -1 meets tol, capped at
+        2048; that bound is above the bound of every sigma >= -1 (n - 1 + a
+        >= 1), so past sigma = -1 the first chunk ends the series."""
+        m = _SERIES_CHUNK
+        rate = -math.log(abs(self.z))
+        if rate > 0.0:
+            # the geometric bound exists once |z| e^{1/(n-1+a)} < 1, and from
+            # there it falls with n: bisect for the first n that meets tol
+            lo = max(1, math.ceil(1.0 / rate - self.a))
+            if lo < m and self._tail_bound(-1.0, m) <= self.tol:
+                while m - lo > 1:
+                    mid = (lo + m) // 2
+                    if self._tail_bound(-1.0, mid) <= self.tol:
+                        m = mid
+                    else:
+                        lo = mid
+        n = np.arange(0, m, dtype=float)
         return np.power(self._zz, n), n + self.a
 
     def series(self, sigma: float) -> EvalResult:
@@ -236,19 +309,9 @@ class _Cell:
         if _is_unit(z) and sigma <= 1.0:
             raise SeriesDivergenceError(
                 "the series diverges for |z| = 1 and sigma <= 1; use an integral path")
-        az = abs(z)
-
-        def tail_bound(n0: int, err: float) -> float:
-            """The tail bound after n0 terms; err is the bound before."""
-            eff_r = az * math.exp(max(0.0, -sigma) / (n0 + a))
-            if eff_r < 1.0:
-                err = (az ** (n0 - 1) * (n0 - 1 + a) ** (-sigma)
-                       * eff_r / (1.0 - eff_r))
-            if sigma > 1.0:
-                # tail <= int_{n0-1+a}^inf x^-sigma dx, for any |z| <= 1
-                err = min(err, (n0 - 1 + a) ** (1.0 - sigma) / (sigma - 1.0))
-            return err
-
+        m = self._first_chunk[0].size
+        # n0 after the last chunk: the first, then chunks of 2048 to the cap
+        end = m + math.ceil((_SERIES_MAX_TERMS - m) / _SERIES_CHUNK) * _SERIES_CHUNK
         re: list[float] = []
         im: list[float] = []
         mag: list[float] = []
@@ -257,9 +320,9 @@ class _Cell:
         if sigma > 1.0:
             # both bounds fall as n0 grows, so the bound after the last chunk
             # decides a refusal before any term is summed
-            end_err = tail_bound(_SERIES_END, math.inf)
+            end_err = self._tail_bound(sigma, end)
             if not end_err <= tol:
-                n0, err = _SERIES_END, end_err
+                n0, err = end, end_err
         while n0 < _SERIES_MAX_TERMS and not err <= tol:
             if n0:
                 n = np.arange(n0, n0 + _SERIES_CHUNK, dtype=float)
@@ -270,16 +333,29 @@ class _Cell:
             re.append(float(terms.real.sum()))
             im.append(float(terms.imag.sum()))
             mag.append(float(np.abs(terms).sum()))
-            n0 += _SERIES_CHUNK
-            err = tail_bound(n0, err)
+            n0 += na.size
+            err = self._tail_bound(sigma, n0, err)
         if not err <= tol:
             raise SeriesDivergenceError(
                 f"series tail bound {err:.2e} above tol = {tol:g} after {n0} "
-                f"terms (|z| = {az}, sigma = {sigma}); use an integral path")
+                f"terms (|z| = {abs(z)}, sigma = {sigma}); use an integral path")
         # the rounding term scales with sum |terms|, not |value|: a cancelling
         # sum keeps the rounding error of its largest terms
         return EvalResult(complex(fsum(re), fsum(im)),
                           err + 8.0 * _EPS * fsum(mag), Method.SERIES)
+
+    def _series_batch(self, sig: np.ndarray) -> list[EvalResult | None]:
+        """series for sigma in (-1, 0), the first chunk's terms as one
+        (sigma x n) matrix; None throughout when that chunk misses tol."""
+        zn, na = self._first_chunk
+        bound = self._tail_bound(-1.0, na.size)   # >= the bound of each sigma
+        if not bound <= self.tol:
+            return [None] * sig.size
+        v = np.stack((zn.real, zn.imag, np.abs(zn)), axis=-1)
+        re, im, mag = _exp_rows(-sig, np.log(na), v).T
+        err = bound + 8.0 * _EPS * mag
+        return [EvalResult(complex(r, i), e, Method.SERIES)
+                for r, i, e in zip(re.tolist(), im.tolist(), err.tolist())]
 
     # -- integral ----------------------------------------------------------
 
@@ -293,9 +369,9 @@ class _Cell:
         delta = min(_HEAD_DELTA, 0.35 * abs(np.log(complex(self.z))))
         return gz_taylor_coeffs(self.a, self.z), delta
 
-    def _mid_sum(self, neg: bool, sigma: float, level: int) -> tuple[complex, int]:
-        """tanh-sinh level `level` on [delta, 1]: its x, w and kernel samples
-        k are kept per (sign of sigma, level), and only x^{sigma-1} is new."""
+    def _mid_level(self, neg: bool, level: int) -> tuple:
+        """x, w and the kernel samples k of tanh-sinh level `level` on
+        [delta, 1], kept per (sign of sigma, level)."""
         if (neg, level) not in self._mid:
             x, w = _ts_table(self._head[1], _SPLIT, level)
             if self.z == 1:
@@ -305,34 +381,53 @@ class _Cell:
             else:   # G_z + C: nothing is subtracted
                 k = np.exp((1.0 - self.a) * x) / (np.exp(x) - self._zz)
             self._mid[neg, level] = x, w, k
-        x, w, k = self._mid[neg, level]
-        return (k * x ** (sigma - 1.0) * w).sum(), x.size
+        return self._mid[neg, level]
 
-    def _tail_sum(self, sigma: float, level: int) -> tuple[complex, int]:
-        """exp-sinh level `level` on [1, inf): its w, log x, a x and tail
-        denominator are kept per level, and only the exponential is new."""
+    def _tail_level(self, level: int) -> tuple:
+        """w, log x, a x and the tail denominator of exp-sinh level `level`
+        on [1, inf), kept per level."""
         if level not in self._tail:
             offset, w = _es_level_nodes(level)
             x = _SPLIT + offset
             den = -np.expm1(-x) if self.z == 1 else 1.0 - self._zz * np.exp(-x)
             self._tail[level] = w, np.log(x), self.a * x, den
-        w, log_x, ax, den = self._tail[level]
+        return self._tail[level]
+
+    def _mid_sum(self, neg: bool, sigma: float, level: int) -> tuple[complex, int]:
+        """A tanh-sinh level on [delta, 1]: only x^{sigma-1} is new."""
+        x, w, k = self._mid_level(neg, level)
+        return (k * x ** (sigma - 1.0) * w).sum(), x.size
+
+    def _tail_sum(self, sigma: float, level: int) -> tuple[complex, int]:
+        """An exp-sinh level on [1, inf): only the exponential is new."""
+        w, log_x, ax, den = self._tail_level(level)
         return (np.exp((sigma - 1.0) * log_x - ax) / den * w).sum(), w.size
 
-    def integral(self, sigma: float) -> EvalResult:
-        """phi_integral, for a float sigma."""
-        a, z = self.a, self.z
-        top = 1.0 if z == 1 else math.inf
-        if not (-1.0 < sigma < 0.0 or 0.0 < sigma < top):
-            raise DomainError(f"the integral route needs sigma in (-1,0) u "
-                              f"(0,{top:g}) at z = {z}, got {sigma}")
+    def _mid_sums(self, sm1: np.ndarray, level: int,
+                  cols: np.ndarray) -> tuple[np.ndarray, int]:
+        """_mid_sum at sigma < 0 for the columns cols of sigma - 1 = sm1."""
+        x, w, k = self._mid_level(True, level)
+        return _exp_rows(sm1[cols], np.log(x), k * w), x.size
+
+    def _tail_sums(self, sm1: np.ndarray, level: int,
+                   cols: np.ndarray) -> tuple[np.ndarray, int]:
+        """_tail_sum for the columns cols of sigma - 1 = sm1."""
+        w, log_x, ax, den = self._tail_level(level)
+        return _exp_rows(sm1[cols], log_x, w / den, ax), w.size
+
+    def _check_conditioning(self) -> None:
+        z = self.z
         if z != 1 and abs(1.0 - z) < _MIN_ONE_MINUS_Z:
             raise ConditioningError(
                 f"|1 - z| = {abs(1.0 - z):.2e} < {_MIN_ONE_MINUS_Z}: the kernel "
                 "magnitude ~ 1/|1-z| makes the integral paths ill-conditioned")
-        gam = gamma_real(sigma)   # refuses sigma past ~171.6 before any work
-        neg = sigma < 0.0
-        s = _SPLIT
+
+    def _closed(self, sigma, neg: bool) -> tuple:
+        """(const, first, head_err, corr) of the integral route: the constant
+        C, the first head term, the head truncation bound and the closed-form
+        integrals over [1, inf).  sigma is a float, or an array of sigma of
+        the sign neg; the expressions are the same for both."""
+        a, z, s = self.a, self.z, _SPLIT
         c, delta = self._head
         if z == 1:
             const = 0.5 - a
@@ -348,7 +443,27 @@ class _Cell:
             head_err = 2.0 * abs(c[-1]) * delta ** (c.size - 1 + sigma)
             corr = 0.0
         if neg:
-            corr += const * s ** sigma / sigma
+            corr = corr + const * s ** sigma / sigma
+        return const, first, head_err, corr
+
+    def _method(self, neg: bool) -> Method:
+        if self.z != 1 and _is_unit(self.z):
+            return Method.INTEGRAL_UNIT
+        return Method.INTEGRAL_NEG if neg else Method.INTEGRAL_POS
+
+    def integral(self, sigma: float) -> EvalResult:
+        """phi_integral, for a float sigma."""
+        a, z = self.a, self.z
+        top = 1.0 if z == 1 else math.inf
+        if not (-1.0 < sigma < 0.0 or 0.0 < sigma < top):
+            raise DomainError(f"the integral route needs sigma in (-1,0) u "
+                              f"(0,{top:g}) at z = {z}, got {sigma}")
+        self._check_conditioning()
+        gam = gamma_real(sigma)   # refuses sigma past ~171.6 before any work
+        neg = sigma < 0.0
+        s = _SPLIT
+        c, delta = self._head
+        const, first, head_err, corr = self._closed(sigma, neg)
         # int_0^delta kernel * x^{sigma-1} dx, term by term from its power series
         terms = [c[k] * delta ** (k + sigma) / (k + sigma)
                  for k in range(first, c.size)]
@@ -371,11 +486,39 @@ class _Cell:
         if not (cmath.isfinite(value) and math.isfinite(err)):
             raise DomainError(f"Phi({sigma}, {a}, {z}) by the integral route "
                               "exceeds the binary64 range")
-        if z != 1 and _is_unit(z):
-            method = Method.INTEGRAL_UNIT
-        else:
-            method = Method.INTEGRAL_NEG if neg else Method.INTEGRAL_POS
-        return EvalResult(value, float(err), method)
+        return EvalResult(value, float(err), self._method(neg))
+
+    def _integral_batch(self, sig: np.ndarray) -> list[EvalResult | None]:
+        """integral for sigma in (-1, 0): the head terms, x^{sigma-1} and the
+        exp-sinh exponentials as (sigma x nodes) matrices reduced by _dot,
+        each sigma stopping at its own level; None where a value or
+        estimate is not finite."""
+        self._check_conditioning()
+        gam = np.array([gamma_real(x) for x in sig.tolist()])
+        c, delta = self._head
+        sm1 = sig - 1.0
+        qtol = 0.25 * self.tol
+        # an overflow ends as inf or nan, which the scalar call then refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, first, head_err, corr = self._closed(sig, True)
+            k = np.arange(first, c.size) + sig[:, None]
+            head = _dot(delta ** k / k, c[first:])
+            mid = _refine(functools.partial(self._mid_sums, sm1),
+                          0.5 * (_SPLIT - delta), qtol, _MAX_LEVELS, sig.size)
+            tail = _refine(functools.partial(self._tail_sums, sm1), 1.0, qtol,
+                           _MAX_LEVELS, sig.size)
+            value = (head + mid.value + tail.value + corr) / gam
+            if self.z.imag == 0.0:
+                value = value.real + 0.0j
+            # plain sums, not fsum: their rounding joins the estimate
+            rounding = 4.0 * _EPS * (abs(head) + abs(mid.value)
+                                     + abs(tail.value) + abs(corr))
+            err = ((head_err + mid.err + tail.err + rounding) / abs(gam)
+                   + 8.0 * _EPS * abs(value))
+        method = self._method(True)
+        return [EvalResult(v, e, method)
+                if cmath.isfinite(v) and math.isfinite(e) else None
+                for v, e in zip(value.tolist(), err.tolist())]
 
     # -- dispatch ----------------------------------------------------------
 
@@ -397,6 +540,28 @@ class _Cell:
             return self.series(sigma)
         return self.integral(sigma)
 
+    def batch(self, sigmas) -> list[EvalResult]:
+        """[self(s) for s in sigmas], with the sigma in (-1, 0) in one vector
+        pass of the series or the integral route (evaluate's dispatch there:
+        the series for z != 1 with |z| <= 0.9).  Any other sigma, and a
+        sigma whose vector value or estimate is not finite, or whose series
+        first chunk misses tol, takes the scalar call, so a batch raises
+        only what a scalar call of one of its sigma raises.  The values
+        agree with the scalar calls within their estimates, not bit for
+        bit (module docstring, "Reuse per (a, z)")."""
+        sig = np.asarray(sigmas, dtype=float)
+        out: list[EvalResult | None] = [None] * sig.size
+        inner = np.flatnonzero((-1.0 < sig) & (sig < 0.0))
+        if inner.size:
+            if self.z != 1 and abs(self.z) <= 0.9:
+                found = self._series_batch(sig[inner])
+            else:
+                found = self._integral_batch(sig[inner])
+            for i, res in zip(inner.tolist(), found):
+                out[i] = res
+        return [self(s) if res is None else res
+                for s, res in zip(sig.tolist(), out)]
+
 
 # --------------------------------------------------------------------------
 # public routes: one (a, z), called once
@@ -407,8 +572,10 @@ def phi_series(sigma: float, a: float, z: complex,
     """Direct summation of sum_{n>=0} z^n (n+a)^{-sigma}, up to ~2e6 terms.
 
     Requires sigma > 1 on the unit circle; converges geometrically for
-    |z| < 1 at any real sigma.  Terms are summed in chunks of 2048 with
-    numpy's pairwise reduction until the tail bound meets tol.  The tail
+    |z| < 1 at any real sigma.  Terms are summed in chunks with numpy's
+    pairwise reduction until the tail bound meets tol: a first chunk of the
+    fewest terms whose tail bound at sigma = -1 meets tol (at most 2048),
+    then chunks of 2048.  The tail
     bound is the smaller of the geometric next-term bound (|z| < 1) and,
     for sigma > 1, the integral bound (n0-1+a)^{1-sigma}/(sigma-1); the
     recorded error adds 8 eps times the sum of the term magnitudes for

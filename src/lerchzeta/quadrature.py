@@ -9,7 +9,9 @@ few ulps of the result, and is an estimate rather than a rigorous bound.
 
 Each rule is a node table per level (_ts_table, _es_level_nodes) and the
 level loop _refine, which asks for the weighted sum of a level by number; a
-caller with many integrands on one interval keeps per-level arrays of its own.
+caller with many integrands on one interval keeps per-level arrays of its own,
+and _refine can run such integrands side by side, each column stopping at
+its own level.
 
 Integrands are called with a numpy array of abscissas and must return an
 array (real or complex).  Endpoint singularities are never evaluated: the
@@ -103,11 +105,20 @@ def _ts_table(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     return x[keep], w[keep]
 
 
-def _refine(level_sum: Callable[[int], tuple[complex, int]], scale: float,
-            tol: float, max_levels: int) -> QuadResult:
+def _refine(level_sum: Callable[..., tuple], scale: float, tol: float,
+            max_levels: int, width: int | None = None) -> QuadResult:
     """The level loop both rules share.  level_sum(level) returns the
     weighted integrand sum over the new nodes of that level and their count;
-    the estimate at step h = 2^-level is scale * h times the running sum."""
+    the estimate at step h = 2^-level is scale * h times the running sum.
+
+    With width, there are that many integrands side by side, one per column:
+    level_sum(level, cols) returns the sums of the columns cols (an index
+    array) as an array, each column stops at the first level at which it
+    would stop alone, and the loop ends when every column has stopped.  The
+    result's value and err are then arrays over the columns, and levels
+    and evals are those of the column that ran deepest."""
+    if width is not None:
+        return _refine_columns(level_sum, scale, tol, max_levels, width)
     running = 0.0 + 0.0j
     prev = None
     value = 0.0 + 0.0j
@@ -127,6 +138,29 @@ def _refine(level_sum: Callable[[int], tuple[complex, int]], scale: float,
     err = max(err, 4.0 * _EPS * abs(value))
     return QuadResult(value=complex(value), err=float(err),
                       levels=level, evals=evals)
+
+
+def _refine_columns(level_sum, scale, tol, max_levels, width) -> QuadResult:
+    """_refine with width: the same rule, column by column."""
+    running = np.zeros(width, dtype=complex)
+    value = np.zeros(width, dtype=complex)
+    err = np.full(width, math.inf)
+    cols = np.arange(width)
+    evals = 0
+    level = 0
+    for level in range(max_levels + 1):
+        total, count = level_sum(level, cols)
+        running[cols] += total
+        evals += count
+        prev = value[cols]
+        value[cols] = running[cols] * (2.0 ** (-level) * scale)
+        if level >= 3:
+            err[cols] = np.abs(value[cols] - prev)
+            cols = cols[~(err[cols] <= tol)]
+            if cols.size == 0:
+                break
+    err = np.maximum(err, 4.0 * _EPS * np.abs(value))
+    return QuadResult(value=value, err=err, levels=level, evals=evals)
 
 
 def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

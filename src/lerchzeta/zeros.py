@@ -21,7 +21,11 @@ it).
 Each scan_zeros cell and each check_case3 call evaluates through one
 per-(a, z) object of the evaluate module, so the coefficient tables, the
 kernel samples and the series powers of its (a, z) are built once for all
-its sigma; the values are the bits a fresh evaluate per sigma gives.
+its sigma.  The sigma grid of a cell, and the nine sigma of check_case3,
+go through that object's vector call in one pass; those values agree with
+a fresh evaluate per sigma within the error estimates, not bit for bit.
+The bisection and the residuals evaluate one sigma at a time through the
+scalar call, which gives the bits of a fresh evaluate.
 """
 from __future__ import annotations
 
@@ -152,7 +156,9 @@ def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
     carry no sign and never seed a bracket.
 
     The grid, the bisection and the residuals share one per-(a, z) object,
-    so what does not depend on sigma is built once per cell.
+    so what does not depend on sigma is built once per cell.  The 199 grid
+    values come from one vector call of that object; the bisection and the
+    residuals make scalar calls, about 27 per root at tol = 1e-10.
     """
     a = _check_a(a)
     zc = complex(z)
@@ -174,8 +180,8 @@ def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
 
     phi_m1 = special_value(-1, a, zr).real
     phi_0 = special_value(0, a, zr).real
-    sig_pts = [-1.0] + [float(s) for s in interior] + [0.0]
-    vals = [phi_m1] + [f(s) for s in sig_pts[1:-1]] + [phi_0]
+    sig_pts = [-1.0] + interior.tolist() + [0.0]
+    vals = [phi_m1] + [r.value.real for r in cell.batch(interior)] + [phi_0]
 
     brackets: list[tuple[float, float]] = []
     bracket_signs: list[float] = []
@@ -206,7 +212,7 @@ def check_case3(a: float, r: float, theta: float,
     Phi at sigma = -0.9, -0.8, ..., -0.1 and demands that Im Phi keeps one
     sign and exceeds its error estimate everywhere.  Returns min |Im Phi|;
     raises SignConstancyError on any violation.  Each value is evaluated
-    to tol, all nine through one per-(a, z) object.
+    to tol, all nine in one vector call of one per-(a, z) object.
     """
     a = _check_a(a)
     r = float(r)
@@ -217,8 +223,7 @@ def check_case3(a: float, r: float, theta: float,
     z = complex(r * math.cos(theta), r * math.sin(theta))
     cell = _Cell(a, z, tol)
     ims: list[float] = []
-    for sig in _CASE3_SIGMAS:
-        res = cell(float(sig))
+    for sig, res in zip(_CASE3_SIGMAS, cell.batch(_CASE3_SIGMAS)):
         im = res.value.imag
         if abs(im) <= res.abs_err_estimate:
             raise SignConstancyError(

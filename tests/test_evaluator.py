@@ -440,6 +440,43 @@ class TestCellReuse:
                 assert _hex(lambda: cell(sigma)) == _hex(
                     lambda: evaluate(sigma, a, z, tol)), (sigma, tol)
 
+    @pytest.mark.parametrize("z, a", [
+        (1.0, 0.1), (-1.0, 0.37), (0.95, 0.62), (0.5, 0.9), (-0.3, 0.05),
+        (cmath.exp(1j), 0.43),
+    ], ids=["one", "minus_one", "z0.95", "z0.5", "z-0.3", "unit"])
+    def test_batch_agrees_with_scalar_calls(self, z, a):
+        # the vector pass against one scalar call per sigma, next to both
+        # ends of (-1, 0) included; the closed forms and a refusal outside
+        # (-1, 0) go through the scalar call unchanged
+        rng = np.random.default_rng(12)
+        sigmas = np.concatenate([[-1.0 + 1e-9, -1e-9],
+                                 rng.uniform(-1.0, 0.0, 30)])
+        for tol in (1e-10, 1e-6):
+            cell = _EVALUATE._Cell(a, z, tol)
+            batch = cell.batch(sigmas)
+            assert len(batch) == sigmas.size
+            for sigma, res in zip(sigmas.tolist(), batch):
+                ref = evaluate(sigma, a, z, tol)
+                assert type(res.value) is complex
+                assert type(res.abs_err_estimate) is float
+                assert res.method is ref.method
+                assert (abs(res.value - ref.value)
+                        <= res.abs_err_estimate + ref.abs_err_estimate), (sigma, tol)
+                if isinstance(z, float):
+                    assert res.value.imag == 0.0
+            edges = cell.batch([0.0, -1.0])
+            assert [_hex(lambda: r) for r in edges] == [
+                _hex(lambda: evaluate(s, a, z, tol)) for s in (0.0, -1.0)]
+            with pytest.raises(DomainError):
+                cell.batch([-0.5, -1.5])
+
+    def test_batch_refuses_where_scalar_refuses(self):
+        cell = _EVALUATE._Cell(0.3, 0.9995, 1e-10)
+        with pytest.raises(ConditioningError):
+            cell(-0.5)
+        with pytest.raises(ConditioningError):
+            cell.batch([-0.9, -0.5, -0.1])
+
 
 _CHI4 = builtin_characters(4)[1]
 

@@ -5,14 +5,18 @@ Each point either raises a typed LerchZetaError or meets the contract
 lerchphi at 30 digits as the oracle.  The strata are the places where a
 route can run out of reach: |z| = 1, 1 - |z| in [1e-8, 1e-2] (real z
 included), and arg z in [1e-6, 1e-3] next to z = 1, all with 1 < sigma < 4.5.
+A second stratum holds the vector pass of a scan cell over sigma in (-1, 0).
 """
 import cmath
+import importlib
 import math
 import random
 
 import pytest
 
 from lerchzeta import LerchZetaError, evaluate
+
+_Cell = importlib.import_module("lerchzeta.evaluate")._Cell
 
 mp = pytest.importorskip("mpmath")
 
@@ -52,4 +56,38 @@ def test_meets_tol_or_refuses():
         if not err <= res.abs_err_estimate <= max(TOL, TOL * abs(ref)):
             misses.append((sigma, a, z, str(res.method), err,
                            res.abs_err_estimate))
+    assert misses == []
+
+
+def _phi_root_of_unity(sigma, a, q, j):
+    """Phi(sigma, a, e^{2 pi i j/q}) = q^{-sigma} sum_r e^{2 pi i j r/q}
+    zeta(sigma, (r+a)/q), from mpmath's Hurwitz zeta (faster than lerchphi)."""
+    return mp.power(q, -sigma) * mp.fsum(
+        mp.expjpi(mp.mpf(2 * j * r) / q) * mp.zeta(sigma, (r + mp.mpf(a)) / q)
+        for r in range(q))
+
+
+def _phi_disk(sigma, a, z):
+    """Phi(sigma, a, z) for |z| < 1 by the series, summed past 1e-25."""
+    zz = mp.mpc(z)
+    n = int(60.0 / -math.log(abs(z))) + 2
+    return mp.fsum(zz ** k * mp.power(k + mp.mpf(a), -sigma) for k in range(n))
+
+
+@pytest.mark.parametrize("a, z, oracle", [
+    (0.3, 1.0, lambda s, a: _phi_root_of_unity(s, a, 1, 0)),
+    (0.15, -1.0, lambda s, a: _phi_root_of_unity(s, a, 2, 1)),
+    (0.43, 1j, lambda s, a: _phi_root_of_unity(s, a, 4, 1)),
+    (0.7, 0.95, lambda s, a: _phi_disk(s, a, 0.95)),
+    (0.6, 0.6 + 0.5j, lambda s, a: _phi_disk(s, a, 0.6 + 0.5j)),
+], ids=["one", "minus_one", "i", "z0.95", "disk"])
+def test_batch_meets_tol(a, z, oracle):
+    sigmas = [-1.0 + 1e-9, -0.93, -0.71, -0.5, -0.37, -0.2, -0.05, -1e-9]
+    misses = []
+    for sigma, res in zip(sigmas, _Cell(a, z, TOL).batch(sigmas)):
+        with mp.workdps(30):
+            ref = complex(oracle(sigma, a))
+        err = abs(res.value - ref)
+        if not err <= res.abs_err_estimate <= max(TOL, TOL * abs(ref)):
+            misses.append((sigma, str(res.method), err, res.abs_err_estimate))
     assert misses == []

@@ -99,3 +99,31 @@ class TestRefine:
             res = rule()
             assert len(calls) == res.levels + 1
             assert sum(calls) == res.evals
+
+    def test_columns_stop_at_their_own_level(self):
+        # integrands side by side, the estimate at level L being 1 + r^L for
+        # column rate r: each column keeps the value and estimate of its
+        # scalar loop, and deeper levels are summed only for the columns
+        # still refining
+        rates = np.array([0.9, 0.3, 0.1, 0.0])
+
+        def total(rate, level):
+            def running(lv):   # 2^lv times the estimate, at scale 1
+                return 2.0 ** lv * (1.0 + rate ** lv)
+            return running(level) - (running(level - 1) if level else 0.0)
+
+        asked = []
+
+        def level_sum(level, cols):
+            asked.append(cols.tolist())
+            return np.array([total(r, level) for r in rates[cols]]), 1
+
+        res = _refine(level_sum, 1.0, 1e-4, 11, rates.size)
+        alone = [_refine(lambda level: (total(r, level), 1), 1.0, 1e-4, 11)
+                 for r in rates]
+        assert [a.levels for a in alone] == [11, 9, 5, 3]
+        for col, one in enumerate(alone):
+            assert res.value[col] == one.value
+            assert res.err[col] == one.err
+            assert sum(col in c for c in asked) == one.levels + 1
+        assert res.levels == len(asked) - 1 == 11

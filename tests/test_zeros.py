@@ -132,6 +132,22 @@ class TestScanZeros:
         scan_zeros(0.1, -1.0)
         assert calls == Counter(gz_taylor_coeffs=1)
 
+    def test_grid_in_one_vector_call(self, monkeypatch):
+        # the 199-point grid is one batch call; the scalar calls are the
+        # bisection and the residual of each root (about 27 each), where a
+        # call per grid point would add 199
+        cell_cls = importlib.import_module("lerchzeta.evaluate")._Cell
+        calls = Counter()
+        for name in ("__call__", "batch"):
+            def counted(self, sigma, _fn=getattr(cell_cls, name), _name=name):
+                calls[_name] += 1
+                return _fn(self, sigma)
+            monkeypatch.setattr(cell_cls, name, counted)
+        rep = scan_zeros(0.1, 1.0)
+        assert len(rep.roots) >= 1
+        assert calls["batch"] == 1
+        assert 1 <= calls["__call__"] <= 40 * len(rep.roots), calls
+
     def test_domain_errors(self):
         with pytest.raises(WrongPathError):
             scan_zeros(0.5, 1j)

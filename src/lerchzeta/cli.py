@@ -8,8 +8,10 @@
 
 `eval` prints "value_re value_im err_estimate method" with 17 significant
 digits (binary64 round-trips exactly).  `scan` writes a deterministic CSV
-census of zero brackets over an (a, z) grid.  `verify` runs a named check
-suite and exits 0 iff every check passes.
+census of zero brackets over an (a, z) grid; its a bounds must lie in
+(0, 1] and its step must be finite, positive and large enough to move
+--a-max.  `verify` runs a named check suite and exits 0 iff every check
+passes.
 
 z arguments accept a complex literal ("1", "-1", "0.5+0.5j", "i" works too)
 or "unit:<theta>" for e^{i theta}; eval's --z defaults to 1, and the scan's
@@ -103,8 +105,17 @@ def _scan_cell(a: float, z: complex, tol: float) -> str:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if args.a_step <= 0:
-        raise LerchZetaError("--a-step must be positive")
+    # a bad grid costs no scan and leaves --out untouched; a step too small
+    # to move --a-max would grow the grid without end
+    for flag, value in (("--a-min", args.a_min), ("--a-max", args.a_max)):
+        if not 0.0 < value <= 1.0:
+            raise LerchZetaError(f"{flag} must lie in (0, 1], got {value}")
+    if not 0.0 < args.a_step < math.inf:
+        raise LerchZetaError(f"--a-step must be positive and finite, "
+                             f"got {args.a_step}")
+    if args.a_max + args.a_step == args.a_max:
+        raise LerchZetaError(f"--a-step {args.a_step} does not move "
+                             f"--a-max {args.a_max}")
     z_list = _parse_z_spec(args.z)
     a_values = []
     a = args.a_min

@@ -38,9 +38,11 @@ with the kernel K picked from (z == 1, sign of sigma), split at x = 1:
               int_1^inf x^{sigma-2} dx = 1/(1-sigma)   (sigma < 1)
               int_1^inf x^{sigma-1} dx = -1/sigma      (sigma < 0)
 
-Accumulation uses math.fsum for the handful of combined pieces and numpy's
-pairwise reduction inside the quadrature rules (the vector call below uses
-plain sums and adds their rounding to its estimate).
+The integral route adds its pieces (head, [delta, 1], [1, inf), closed
+forms) with plain sums and adds 4 eps times the sum of their magnitudes to
+its estimate; the series and Euler-Maclaurin routes combine their partial
+sums with math.fsum; numpy's pairwise reduction runs inside each
+quadrature level.
 
 Reuse per (a, z): the series, integral and dispatch live on one private
 object per (a, z) and tol (_Cell), which checks a, z and tol once and keeps
@@ -53,30 +55,33 @@ number of terms (at most 2048) whose tail bound at sigma = -1 meets tol.
 quadrature's level loop asks for a level by its number, and the object
 builds that level's arrays from quadrature's node tables on first request.
 
-A scalar call computes what depends on sigma: x^{sigma-1}, the exp-sinh
-exponential, the head terms, Gamma(sigma), the tail bounds and the pieces
-with their error sums.  The expressions and their order are those of a
-fresh object, so a reused object returns the same bits.  evaluate,
-phi_series and phi_integral build one object and call it once.
+One body, _Cell.integral, computes what depends on sigma, for one float
+sigma or for an array of sigma of one sign: the domain and conditioning
+checks, Gamma(sigma), the head terms, the closed forms, the value with its
+estimate and the finiteness rule are one expression each, applied to a
+float or to the array.  Only the level sums are two.  For one sigma,
+_mid_sum and _tail_sum weight x^{sigma-1} and the exp-sinh exponential
+against the kept samples and quadrature's level loop runs once; for many,
+_mid_sums and _tail_sums form (sigma x nodes) matrices, in blocks of a
+bounded size, and the level loop runs every sigma as a column that stops at
+its own level.  They stay two because the column loop's numpy dispatch
+does not pay for one sigma: on a 2-core host a batch of one costs
+260-300 us against 70-110 us for a warm scalar call (a = 0.1, z in {1,
+-1, 0.95}), and single sigma sent through the column loop made fresh
+evaluate calls 10-50 % slower.  The expressions and their order do not
+depend on what the object holds, so a reused object returns the bits of a
+fresh one.  evaluate, phi_series and phi_integral build one object and
+call it once.
 
-The vector call (_Cell.batch) takes many sigma of (-1, 0) in one pass over
-the same tables: x^{sigma-1} and the exp-sinh exponentials form
-(sigma x nodes) matrices, in blocks of a bounded size, reduced against the
-weighted kernel samples; the head terms and the series first chunk form
-(sigma x terms) matrices the same way; the closed-form parts (the constant
-C, the head bound, the [1, inf) corrections, Gamma) are the scalar
-expressions applied to the array; and quadrature's level loop runs every
-sigma as a column that stops at its own level.  Its sums are plain matrix
-reductions rather than fsum, so its values agree with the scalar calls
-within their estimates, not bit for bit; a sigma whose vector value is not
-finite takes the scalar call, so a batch raises only where a scalar call
-raises.  zeros.scan_zeros evaluates its 199-point grid and
-zeros.check_case3 its 9 sigma with one batch per (a, z).  Single sigma stay
-on the scalar call (evaluate, phi_integral, and the bisection and residuals
-of scan_zeros): a batch of one costs two to three times a warm scalar call
-(a = 0.3, z in {1, -1, 0.95, 0.5}), in the numpy dispatch of the matrix
-path.  The object lives as long as its caller
-holds it: nothing is cached across (a, z).
+_Cell.batch takes many sigma of (-1, 0) through the array form of that
+body, or of the series' first chunk as a (sigma x terms) matrix where the
+series is evaluate's route.  Summed in another order, its values agree
+with the scalar calls within their estimates, not bit for bit; a sigma
+whose vector value is not finite takes the scalar call, so a batch raises
+only where a scalar call raises.  zeros.scan_zeros evaluates its 199-point
+grid and zeros.check_case3 its 9 sigma with one batch per (a, z); the
+bisection and residuals of scan_zeros stay on the scalar call.  The object
+lives as long as its caller holds it: nothing is cached across (a, z).
 """
 from __future__ import annotations
 
@@ -403,122 +408,92 @@ class _Cell:
         w, log_x, ax, den = self._tail_level(level)
         return (np.exp((sigma - 1.0) * log_x - ax) / den * w).sum(), w.size
 
-    def _mid_sums(self, sm1: np.ndarray, level: int,
+    def _mid_sums(self, neg: bool, sig: np.ndarray, level: int,
                   cols: np.ndarray) -> tuple[np.ndarray, int]:
-        """_mid_sum at sigma < 0 for the columns cols of sigma - 1 = sm1."""
-        x, w, k = self._mid_level(True, level)
-        return _exp_rows(sm1[cols], np.log(x), k * w), x.size
+        """_mid_sum for the columns cols of the array sig."""
+        x, w, k = self._mid_level(neg, level)
+        return _exp_rows(sig[cols] - 1.0, np.log(x), k * w), x.size
 
-    def _tail_sums(self, sm1: np.ndarray, level: int,
+    def _tail_sums(self, sig: np.ndarray, level: int,
                    cols: np.ndarray) -> tuple[np.ndarray, int]:
-        """_tail_sum for the columns cols of sigma - 1 = sm1."""
+        """_tail_sum for the columns cols of the array sig."""
         w, log_x, ax, den = self._tail_level(level)
-        return _exp_rows(sm1[cols], log_x, w / den, ax), w.size
+        return _exp_rows(sig[cols] - 1.0, log_x, w / den, ax), w.size
 
-    def _check_conditioning(self) -> None:
-        z = self.z
+    def integral(self, sigma: float | np.ndarray
+                 ) -> EvalResult | list[EvalResult | None]:
+        """phi_integral, for a float sigma.  sigma may also be an array of
+        sigma of one sign: then the level sums run as columns, each
+        stopping at its own level, and the result is a list with one
+        EvalResult per sigma, None where a value or estimate is not finite.
+        Everything else is one expression for both."""
+        a, z, s = self.a, self.z, _SPLIT
+        many = isinstance(sigma, np.ndarray)
+        lo, hi = (sigma.min(), sigma.max()) if many else (sigma, sigma)
+        top = 1.0 if z == 1 else math.inf
+        if not (-1.0 < lo <= hi < 0.0 or 0.0 < lo <= hi < top):
+            raise DomainError(f"the integral route needs sigma in (-1,0) u "
+                              f"(0,{top:g}) at z = {z}, got {sigma}")
         if z != 1 and abs(1.0 - z) < _MIN_ONE_MINUS_Z:
             raise ConditioningError(
                 f"|1 - z| = {abs(1.0 - z):.2e} < {_MIN_ONE_MINUS_Z}: the kernel "
                 "magnitude ~ 1/|1-z| makes the integral paths ill-conditioned")
-
-    def _closed(self, sigma, neg: bool) -> tuple:
-        """(const, first, head_err, corr) of the integral route: the constant
-        C, the first head term, the head truncation bound and the closed-form
-        integrals over [1, inf).  sigma is a float, or an array of sigma of
-        the sign neg; the expressions are the same for both."""
-        a, z, s = self.a, self.z, _SPLIT
+        # refuses sigma past ~171.6 before any work
+        gam = (np.array([gamma_real(x) for x in sigma.tolist()]) if many
+               else gamma_real(sigma))
+        neg = hi < 0.0
         c, delta = self._head
-        if z == 1:
-            const = 0.5 - a
-            first = 1 if neg else 0
-            # |B_n(y)|/n! <= 2.01 (2pi)^{-n}: geometric truncation bound
-            ratio = delta / (2.0 * math.pi)
-            head_err = (2.01 * ratio ** (c.size + 1) / delta * delta ** sigma
-                        / (1.0 - ratio))
-            corr = -s ** (sigma - 1.0) / (1.0 - sigma)   # the 1/x part
-        else:
-            const = 1.0 / (1.0 - z)
-            first = 1
-            head_err = 2.0 * abs(c[-1]) * delta ** (c.size - 1 + sigma)
-            corr = 0.0
-        if neg:
-            corr = corr + const * s ** sigma / sigma
-        return const, first, head_err, corr
-
-    def _method(self, neg: bool) -> Method:
-        if self.z != 1 and _is_unit(self.z):
-            return Method.INTEGRAL_UNIT
-        return Method.INTEGRAL_NEG if neg else Method.INTEGRAL_POS
-
-    def integral(self, sigma: float) -> EvalResult:
-        """phi_integral, for a float sigma."""
-        a, z = self.a, self.z
-        top = 1.0 if z == 1 else math.inf
-        if not (-1.0 < sigma < 0.0 or 0.0 < sigma < top):
-            raise DomainError(f"the integral route needs sigma in (-1,0) u "
-                              f"(0,{top:g}) at z = {z}, got {sigma}")
-        self._check_conditioning()
-        gam = gamma_real(sigma)   # refuses sigma past ~171.6 before any work
-        neg = sigma < 0.0
-        s = _SPLIT
-        c, delta = self._head
-        const, first, head_err, corr = self._closed(sigma, neg)
-        # int_0^delta kernel * x^{sigma-1} dx, term by term from its power series
-        terms = [c[k] * delta ** (k + sigma) / (k + sigma)
-                 for k in range(first, c.size)]
-        if z != 1 and not neg:
-            terms.append(const * delta ** sigma / sigma)
-        head = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
         qtol = 0.25 * self.tol
-        # an overflow ends as inf or nan, which the finiteness check below refuses
-        with np.errstate(over="ignore"):
-            # the level loops of tanh_sinh on [delta, 1] and exp_sinh on [1, inf)
-            mid = _refine(functools.partial(self._mid_sum, neg, sigma),
-                          0.5 * (s - delta), qtol, _MAX_LEVELS)
-            tail = _refine(functools.partial(self._tail_sum, sigma), 1.0, qtol,
-                           _MAX_LEVELS)
-        pieces = (head, mid.value, tail.value, corr)
-        re = fsum(p.real for p in pieces) / gam
-        im = fsum(p.imag for p in pieces) / gam
-        value = complex(re, 0.0) if z.imag == 0.0 else complex(re, im)
-        err = (head_err + mid.err + tail.err) / abs(gam) + 8.0 * _EPS * abs(value)
-        if not (cmath.isfinite(value) and math.isfinite(err)):
-            raise DomainError(f"Phi({sigma}, {a}, {z}) by the integral route "
-                              "exceeds the binary64 range")
-        return EvalResult(value, float(err), self._method(neg))
-
-    def _integral_batch(self, sig: np.ndarray) -> list[EvalResult | None]:
-        """integral for sigma in (-1, 0): the head terms, x^{sigma-1} and the
-        exp-sinh exponentials as (sigma x nodes) matrices reduced by _dot,
-        each sigma stopping at its own level; None where a value or
-        estimate is not finite."""
-        self._check_conditioning()
-        gam = np.array([gamma_real(x) for x in sig.tolist()])
-        c, delta = self._head
-        sm1 = sig - 1.0
-        qtol = 0.25 * self.tol
-        # an overflow ends as inf or nan, which the scalar call then refuses
+        # an overflow ends as inf or nan, which the finiteness check refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            _, first, head_err, corr = self._closed(sig, True)
-            k = np.arange(first, c.size) + sig[:, None]
-            head = _dot(delta ** k / k, c[first:])
-            mid = _refine(functools.partial(self._mid_sums, sm1),
-                          0.5 * (_SPLIT - delta), qtol, _MAX_LEVELS, sig.size)
-            tail = _refine(functools.partial(self._tail_sums, sm1), 1.0, qtol,
-                           _MAX_LEVELS, sig.size)
+            # the constant C, the first head term, the head truncation bound
+            # and the closed-form integrals over [1, inf)
+            if z == 1:
+                const, first = 0.5 - a, 1 if neg else 0
+                # |B_n(y)|/n! <= 2.01 (2pi)^{-n}: geometric truncation bound
+                ratio = delta / (2.0 * math.pi)
+                head_err = (2.01 * ratio ** (c.size + 1) / delta * delta ** sigma
+                            / (1.0 - ratio))
+                corr = -s ** (sigma - 1.0) / (1.0 - sigma)   # the 1/x part
+            else:
+                const, first = 1.0 / (1.0 - z), 1
+                head_err = 2.0 * abs(c[-1]) * delta ** (c.size - 1 + sigma)
+                corr = 0.0
+            if neg:
+                corr = corr + const * s ** sigma / sigma
+            # int_0^delta kernel * x^{sigma-1} dx, term by term from its
+            # power series: (terms,) or (sigma x terms) exponents
+            k = np.add.outer(sigma, np.arange(first, c.size))
+            head = np.einsum("...j,j->...", delta ** k / k, c[first:])
+            if z != 1 and not neg:
+                head = head + const * delta ** sigma / sigma
+            # the level loops of tanh_sinh on [delta, 1] and exp_sinh on [1, inf)
+            # (the only two-way step: one sigma, or the columns of many)
+            mid_sum, tail_sum, width = (
+                (self._mid_sums, self._tail_sums, sigma.size) if many
+                else (self._mid_sum, self._tail_sum, None))
+            mid = _refine(functools.partial(mid_sum, neg, sigma),
+                          0.5 * (s - delta), qtol, _MAX_LEVELS, width)
+            tail = _refine(functools.partial(tail_sum, sigma), 1.0, qtol,
+                           _MAX_LEVELS, width)
             value = (head + mid.value + tail.value + corr) / gam
-            if self.z.imag == 0.0:
+            if z.imag == 0.0:
                 value = value.real + 0.0j
-            # plain sums, not fsum: their rounding joins the estimate
+            # plain sums: their rounding joins the estimate
             rounding = 4.0 * _EPS * (abs(head) + abs(mid.value)
                                      + abs(tail.value) + abs(corr))
             err = ((head_err + mid.err + tail.err + rounding) / abs(gam)
                    + 8.0 * _EPS * abs(value))
-        method = self._method(True)
-        return [EvalResult(v, e, method)
-                if cmath.isfinite(v) and math.isfinite(e) else None
-                for v, e in zip(value.tolist(), err.tolist())]
+        method = (Method.INTEGRAL_UNIT if z != 1 and _is_unit(z) else
+                  Method.INTEGRAL_NEG if neg else Method.INTEGRAL_POS)
+        if many:
+            return [EvalResult(v, e, method)
+                    if cmath.isfinite(v) and math.isfinite(e) else None
+                    for v, e in zip(value.tolist(), err.tolist())]
+        if not (cmath.isfinite(value) and math.isfinite(err)):
+            raise DomainError(f"Phi({sigma}, {a}, {z}) by the integral route "
+                              "exceeds the binary64 range")
+        return EvalResult(complex(value), float(err), method)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -556,7 +531,7 @@ class _Cell:
             if self.z != 1 and abs(self.z) <= 0.9:
                 found = self._series_batch(sig[inner])
             else:
-                found = self._integral_batch(sig[inner])
+                found = self.integral(sig[inner])
             for i, res in zip(inner.tolist(), found):
                 out[i] = res
         return [self(s) if res is None else res

@@ -218,6 +218,9 @@ def check_case3(a: float, r: float, theta: float,
     r = float(r)
     if not 0.0 < r <= 1.0:
         raise DomainError(f"radius must lie in (0,1], got {r}")
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta}")
     if abs(math.sin(theta)) < 1e-12:
         raise DomainError("theta gives a real z; use scan_zeros")
     z = complex(r * math.cos(theta), r * math.sin(theta))

@@ -169,6 +169,30 @@ class TestScan:
         assert code == 2
         assert f"cannot write {out}" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--a-min", "nan"), ("--a-min", "inf"), ("--a-max", "nan"),
+        ("--a-max", "inf"), ("--a-step", "nan"), ("--a-step", "inf"),
+        ("--a-min", "0"), ("--a-min", "-0.1"), ("--a-max", "1.5"),
+        ("--a-step", "1e-300"),
+    ])
+    def test_bad_a_grid_is_usage_error(self, capsys, monkeypatch, tmp_path,
+                                       flag, value):
+        # non-finite, outside (0, 1], or a step that does not move --a-max:
+        # refused before the first cell and before --out is touched
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scan_zeros called on a bad a grid")
+
+        monkeypatch.setattr(cli, "scan_zeros", no_scan)
+        grid = {"--a-min": "0.4", "--a-max": "0.4", "--a-step": "0.1",
+                flag: value}
+        out = tmp_path / "x.csv"
+        code = main(["scan"] + [f"{k}={v}" for k, v in grid.items()]
+                    + ["--z", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert flag in err
+        assert not out.exists()
+
     def test_failed_scan_leaves_out_as_it_was(self, capsys, monkeypatch,
                                               tmp_path):
         # a cell that raises: a missing --out stays missing and an existing

@@ -5,7 +5,8 @@ Each point either raises a typed LerchZetaError or meets the contract
 lerchphi at 30 digits as the oracle.  The strata are the places where a
 route can run out of reach: |z| = 1, 1 - |z| in [1e-8, 1e-2] (real z
 included), and arg z in [1e-6, 1e-3] next to z = 1, all with 1 < sigma < 4.5.
-A second stratum holds the vector pass of a scan cell over sigma in (-1, 0).
+A second stratum holds five scan cells: the vector pass over sigma in
+(-1, 0), and evaluate at the same sigma and at four sigma in (0, 1).
 """
 import cmath
 import importlib
@@ -82,12 +83,22 @@ def _phi_disk(sigma, a, z):
     (0.6, 0.6 + 0.5j, lambda s, a: _phi_disk(s, a, 0.6 + 0.5j)),
 ], ids=["one", "minus_one", "i", "z0.95", "disk"])
 def test_batch_meets_tol(a, z, oracle):
+    # the cell's vector pass, then one evaluate per sigma at the same sigma
+    # and at four sigma in (0, 1)
     sigmas = [-1.0 + 1e-9, -0.93, -0.71, -0.5, -0.37, -0.2, -0.05, -1e-9]
+    runs = [("batch", sigma, res)
+            for sigma, res in zip(sigmas, _Cell(a, z, TOL).batch(sigmas))]
+    runs += [("evaluate", sigma, evaluate(sigma, a, z, TOL))
+             for sigma in sigmas + [1e-9, 0.3, 0.62, 1.0 - 1e-9]]
+    refs = {}
     misses = []
-    for sigma, res in zip(sigmas, _Cell(a, z, TOL).batch(sigmas)):
-        with mp.workdps(30):
-            ref = complex(oracle(sigma, a))
+    for call, sigma, res in runs:
+        if sigma not in refs:
+            with mp.workdps(30):
+                refs[sigma] = complex(oracle(sigma, a))
+        ref = refs[sigma]
         err = abs(res.value - ref)
         if not err <= res.abs_err_estimate <= max(TOL, TOL * abs(ref)):
-            misses.append((sigma, str(res.method), err, res.abs_err_estimate))
+            misses.append((call, sigma, str(res.method), err,
+                           res.abs_err_estimate))
     assert misses == []

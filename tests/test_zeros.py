@@ -193,6 +193,11 @@ class TestCase3:
         with pytest.raises(DomainError):
             check_case3(0.5, 1.0, math.pi)
 
+    def test_nonfinite_theta_rejected(self):
+        for theta in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                check_case3(0.3, 0.5, theta)
+
 
 @pytest.fixture(scope="module")
 def sign_checks():

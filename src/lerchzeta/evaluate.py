@@ -19,24 +19,34 @@ Routes:
                              sigma != 1; the z = 1 route for sigma > 1, and
                              independent of the kernels and quadrature, so
                              also the cross-check for the zeta integrals.
-  * evaluate              -- dispatcher over all of the above.
+  * evaluate              -- dispatcher over all of the above; it returns
+                             an estimate of at most max(tol, tol |value|)
+                             or raises ConditioningError.
 
 The series and integral routes take one accuracy input, the absolute
 target tol (default 1e-10, must be positive); the rest are fixed.
 
-phi_integral evaluates Gamma(sigma) Phi = int_0^inf K(x) x^{sigma-1} dx
-with the kernel K picked from (z == 1, sign of sigma), split at x = 1:
+phi_integral evaluates Gamma(sigma) Phi = int_0^inf K(x) x^{sigma-1} dx,
+K = e^{(1-a)x}/(e^x - z), with one split at x = 1 for both signs of sigma:
+
+  Gamma(sigma) Phi = int_0^1 G x^{sigma-1} dx + int_1^inf K x^{sigma-1} dx
+                     + C/sigma - [z = 1]/(1 - sigma)
+
+on -1 < sigma < 0 and on 0 < sigma (below 1 when z = 1).  C is the
+constant term of K at x = 0, 1/2 - a at z = 1 and 1/(1-z) otherwise, and
+G, the kernel G (z = 1) or G_z of kernels.py, is K less C and less 1/x
+at z = 1.  The last two terms integrate what G drops in closed form: C
+over [0, 1] for sigma > 0 and over [1, inf) for sigma < 0 gives C/sigma
+either way, and 1/x over [1, inf) gives -1/(1 - sigma).
 
   int_0^1   near x = 0 the factor x^{sigma-1} is too singular for a binary64
             node ladder when sigma approaches 0 or -1, so the leading piece
-            int_0^delta K x^{sigma-1} dx is summed analytically term by
-            term from the kernel's power series (exact integrals of
-            c_k x^{k+sigma-1}); the remainder [delta, 1] goes to tanh-sinh.
-  int_1^inf the exponentially decaying part e^{-ax}/(1 - z e^{-x}) goes to
-            exp-sinh; the algebraic parts of the kernels (1/x and the
-            constants) are integrated in closed form:
-              int_1^inf x^{sigma-2} dx = 1/(1-sigma)   (sigma < 1)
-              int_1^inf x^{sigma-1} dx = -1/sigma      (sigma < 0)
+            int_0^delta G x^{sigma-1} dx is summed analytically term by
+            term from the power series of G (exact integrals of
+            c_k x^{k+sigma-1}, k >= 1); the remainder [delta, 1] goes to
+            tanh-sinh.
+  int_1^inf K = e^{-ax}/(1 - z e^{-x}) decays exponentially and goes to
+            exp-sinh.
 
 The integral route adds its pieces (head, [delta, 1], [1, inf), closed
 forms) with plain sums and adds 4 eps times the sum of their magnitudes to
@@ -48,10 +58,11 @@ Reuse per (a, z): the series, integral and dispatch live on one private
 object per (a, z) and tol (_Cell), which checks a, z and tol once and keeps
 what does not depend on sigma once built: the head coefficients
 (h_series_coeffs(a) or gz_taylor_coeffs(a, z)) with delta; per tanh-sinh
-level on [delta, 1] and sign of sigma, the nodes, weights and kernel
-samples; per exp-sinh level on [1, inf), the weights, log x, a x and tail
-denominator; and z^n over the first series chunk, which holds the smallest
-number of terms (at most 2048) whose tail bound at sigma = -1 meets tol.
+level on [delta, 1], for both signs of sigma, the nodes, weights and
+samples of G or G_z; per exp-sinh level on [1, inf), the weights, log x,
+a x and tail denominator; and z^n over the first series chunk, which holds
+the smallest number of terms (at most 2048) whose tail bound at sigma = -1
+meets tol.
 quadrature's level loop asks for a level by its number, and the object
 builds that level's arrays from quadrature's node tables on first request.
 
@@ -77,8 +88,8 @@ _Cell.batch takes many sigma of (-1, 0) through the array form of that
 body, or of the series' first chunk as a (sigma x terms) matrix where the
 series is evaluate's route.  Summed in another order, its values agree
 with the scalar calls within their estimates, not bit for bit; a sigma
-whose vector value is not finite takes the scalar call, so a batch raises
-only where a scalar call raises.  zeros.scan_zeros evaluates its 199-point
+whose vector value is not finite or misses tol takes the scalar call, so a
+batch raises only where a scalar call raises.  zeros.scan_zeros evaluates its 199-point
 grid and zeros.check_case3 its 9 sigma with one batch per (a, z); the
 bisection and residuals of scan_zeros stay on the scalar call.  The object
 lives as long as its caller holds it: nothing is cached across (a, z).
@@ -96,9 +107,8 @@ import numpy as np
 
 from .errors import (ConditioningError, DomainError, PoleError,
                      SeriesDivergenceError)
-from .kernels import (_check_a, _check_tol, _check_z, _is_unit,
-                      gz_taylor_coeffs, h_series_coeffs, kernel_G, kernel_Gz,
-                      kernel_H)
+from .kernels import (_check_a, _check_tol, _check_z, _gz_near, _is_unit,
+                      gz_taylor_coeffs, h_series_coeffs, kernel_G)
 from .quadrature import _es_level_nodes, _refine, _ts_table
 from .special import bernoulli_number, bernoulli_poly, gamma_real
 
@@ -267,7 +277,7 @@ class _Cell:
         self.z = _check_z(z)
         self.tol = _check_tol(tol)
         self._zz: float | complex = self.z.real if self.z.imag == 0.0 else self.z
-        self._mid: dict[tuple[bool, int], tuple] = {}
+        self._mid: dict[int, tuple] = {}
         self._tail: dict[int, tuple] = {}
 
     # -- series ------------------------------------------------------------
@@ -374,19 +384,15 @@ class _Cell:
         delta = min(_HEAD_DELTA, 0.35 * abs(np.log(complex(self.z))))
         return gz_taylor_coeffs(self.a, self.z), delta
 
-    def _mid_level(self, neg: bool, level: int) -> tuple:
-        """x, w and the kernel samples k of tanh-sinh level `level` on
-        [delta, 1], kept per (sign of sigma, level)."""
-        if (neg, level) not in self._mid:
+    def _mid_level(self, level: int) -> tuple:
+        """x, w and the samples k of G (z = 1) or G_z of tanh-sinh level
+        `level` on [delta, 1], kept per level."""
+        if level not in self._mid:
             x, w = _ts_table(self._head[1], _SPLIT, level)
-            if self.z == 1:
-                k = kernel_G(self.a, x) if neg else kernel_H(self.a, x)
-            elif neg:
-                k = kernel_Gz(self.a, self._zz, x)
-            else:   # G_z + C: nothing is subtracted
-                k = np.exp((1.0 - self.a) * x) / (np.exp(x) - self._zz)
-            self._mid[neg, level] = x, w, k
-        return self._mid[neg, level]
+            k = (kernel_G(self.a, x) if self.z == 1
+                 else _gz_near(self.a, self._zz, x))
+            self._mid[level] = x, w, k
+        return self._mid[level]
 
     def _tail_level(self, level: int) -> tuple:
         """w, log x, a x and the tail denominator of exp-sinh level `level`
@@ -398,9 +404,9 @@ class _Cell:
             self._tail[level] = w, np.log(x), self.a * x, den
         return self._tail[level]
 
-    def _mid_sum(self, neg: bool, sigma: float, level: int) -> tuple[complex, int]:
+    def _mid_sum(self, sigma: float, level: int) -> tuple[complex, int]:
         """A tanh-sinh level on [delta, 1]: only x^{sigma-1} is new."""
-        x, w, k = self._mid_level(neg, level)
+        x, w, k = self._mid_level(level)
         return (k * x ** (sigma - 1.0) * w).sum(), x.size
 
     def _tail_sum(self, sigma: float, level: int) -> tuple[complex, int]:
@@ -408,10 +414,10 @@ class _Cell:
         w, log_x, ax, den = self._tail_level(level)
         return (np.exp((sigma - 1.0) * log_x - ax) / den * w).sum(), w.size
 
-    def _mid_sums(self, neg: bool, sig: np.ndarray, level: int,
+    def _mid_sums(self, sig: np.ndarray, level: int,
                   cols: np.ndarray) -> tuple[np.ndarray, int]:
         """_mid_sum for the columns cols of the array sig."""
-        x, w, k = self._mid_level(neg, level)
+        x, w, k = self._mid_level(level)
         return _exp_rows(sig[cols] - 1.0, np.log(x), k * w), x.size
 
     def _tail_sums(self, sig: np.ndarray, level: int,
@@ -441,38 +447,34 @@ class _Cell:
         # refuses sigma past ~171.6 before any work
         gam = (np.array([gamma_real(x) for x in sigma.tolist()]) if many
                else gamma_real(sigma))
-        neg = hi < 0.0
         c, delta = self._head
         qtol = 0.25 * self.tol
         # an overflow ends as inf or nan, which the finiteness check refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            # the constant C, the first head term, the head truncation bound
-            # and the closed-form integrals over [1, inf)
+            # the constant C, the head truncation bound and the closed forms
+            # of what G drops, -[z = 1]/(1 - sigma) + C/sigma
             if z == 1:
-                const, first = 0.5 - a, 1 if neg else 0
+                const = 0.5 - a
                 # |B_n(y)|/n! <= 2.01 (2pi)^{-n}: geometric truncation bound
                 ratio = delta / (2.0 * math.pi)
                 head_err = (2.01 * ratio ** (c.size + 1) / delta * delta ** sigma
                             / (1.0 - ratio))
                 corr = -s ** (sigma - 1.0) / (1.0 - sigma)   # the 1/x part
             else:
-                const, first = 1.0 / (1.0 - z), 1
+                const = 1.0 / (1.0 - z)
                 head_err = 2.0 * abs(c[-1]) * delta ** (c.size - 1 + sigma)
                 corr = 0.0
-            if neg:
-                corr = corr + const * s ** sigma / sigma
-            # int_0^delta kernel * x^{sigma-1} dx, term by term from its
-            # power series: (terms,) or (sigma x terms) exponents
-            k = np.add.outer(sigma, np.arange(first, c.size))
-            head = np.einsum("...j,j->...", delta ** k / k, c[first:])
-            if z != 1 and not neg:
-                head = head + const * delta ** sigma / sigma
+            corr = corr + const * s ** sigma / sigma
+            # int_0^delta G x^{sigma-1} dx, term by term from the power series
+            # of G from its x^1 term: (terms,) or (sigma x terms) exponents
+            k = np.add.outer(sigma, np.arange(1, c.size))
+            head = np.einsum("...j,j->...", delta ** k / k, c[1:])
             # the level loops of tanh_sinh on [delta, 1] and exp_sinh on [1, inf)
             # (the only two-way step: one sigma, or the columns of many)
             mid_sum, tail_sum, width = (
                 (self._mid_sums, self._tail_sums, sigma.size) if many
                 else (self._mid_sum, self._tail_sum, None))
-            mid = _refine(functools.partial(mid_sum, neg, sigma),
+            mid = _refine(functools.partial(mid_sum, sigma),
                           0.5 * (s - delta), qtol, _MAX_LEVELS, width)
             tail = _refine(functools.partial(tail_sum, sigma), 1.0, qtol,
                            _MAX_LEVELS, width)
@@ -485,7 +487,7 @@ class _Cell:
             err = ((head_err + mid.err + tail.err + rounding) / abs(gam)
                    + 8.0 * _EPS * abs(value))
         method = (Method.INTEGRAL_UNIT if z != 1 and _is_unit(z) else
-                  Method.INTEGRAL_NEG if neg else Method.INTEGRAL_POS)
+                  Method.INTEGRAL_NEG if hi < 0.0 else Method.INTEGRAL_POS)
         if many:
             return [EvalResult(v, e, method)
                     if cmath.isfinite(v) and math.isfinite(e) else None
@@ -497,44 +499,61 @@ class _Cell:
 
     # -- dispatch ----------------------------------------------------------
 
+    def _takes_series(self, sigma: float | np.ndarray) -> bool | np.ndarray:
+        """evaluate's rule between the series and the integral, for a float
+        sigma or elementwise for an array: the series for z != 1 when |z| <=
+        0.9, when sigma >= 4, or when sigma >= 1.5 and |1 - z| < 1e-3, where
+        the integral refuses."""
+        z = self.z
+        return (z != 1) & ((abs(z) <= 0.9) | (sigma >= _SERIES_MIN_SIGMA)
+                           | ((sigma >= 1.5) & (abs(1.0 - z) < _MIN_ONE_MINUS_Z)))
+
+    def _meets_tol(self, res: EvalResult) -> bool:
+        """abs_err_estimate <= max(tol, tol |value|), |value| only if needed."""
+        err, tol = res.abs_err_estimate, self.tol
+        return err <= tol or err <= tol * abs(res.value)
+
     def __call__(self, sigma: float) -> EvalResult:
-        """evaluate's dispatch, for a float sigma."""
+        """evaluate's dispatch, for a float sigma.  A result whose estimate
+        is above max(tol, tol |value|) is ConditioningError."""
         a, z = self.a, self.z
         if not -1.0 <= sigma < math.inf:
             raise DomainError(f"sigma must be finite and >= -1, got {sigma}")
         if sigma == 0.0 or sigma == -1.0:
             return EvalResult(special_value(int(sigma), a, z), 0.0,
                               Method.SPECIAL_VALUE)
-        if z == 1:
+        if z == 1 and sigma >= 1.0:
             if sigma == 1.0:
                 raise PoleError("zeta(s,a) has a simple pole at s = 1")
-            if sigma > 1.0:
-                return hurwitz_em(sigma, a)
-        elif (abs(z) <= 0.9 or sigma >= _SERIES_MIN_SIGMA
-              or (sigma >= 1.5 and abs(1.0 - z) < _MIN_ONE_MINUS_Z)):
-            return self.series(sigma)
-        return self.integral(sigma)
+            res = hurwitz_em(sigma, a)
+        elif self._takes_series(sigma):
+            res = self.series(sigma)
+        else:
+            res = self.integral(sigma)
+        if not self._meets_tol(res):
+            raise ConditioningError(
+                f"the {res.method} estimate {res.abs_err_estimate:.2e} of "
+                f"Phi({sigma}, {a}, {z}) misses tol = {self.tol:g}")
+        return res
 
     def batch(self, sigmas) -> list[EvalResult]:
         """[self(s) for s in sigmas], with the sigma in (-1, 0) in one vector
-        pass of the series or the integral route (evaluate's dispatch there:
-        the series for z != 1 with |z| <= 0.9).  Any other sigma, and a
-        sigma whose vector value or estimate is not finite, or whose series
-        first chunk misses tol, takes the scalar call, so a batch raises
-        only what a scalar call of one of its sigma raises.  The values
-        agree with the scalar calls within their estimates, not bit for
-        bit (module docstring, "Reuse per (a, z)")."""
+        pass of the route that evaluate's rule (_takes_series) picks for
+        them.  Any other sigma, and a sigma whose vector value or estimate
+        is not finite or misses tol, or whose series first chunk misses tol,
+        takes the scalar call, so a batch raises only what a scalar call of
+        one of its sigma raises.  The values agree with the scalar calls
+        within their estimates, not bit for bit (module docstring, "Reuse
+        per (a, z)")."""
         sig = np.asarray(sigmas, dtype=float)
         out: list[EvalResult | None] = [None] * sig.size
         inner = np.flatnonzero((-1.0 < sig) & (sig < 0.0))
-        if inner.size:
-            if self.z != 1 and abs(self.z) <= 0.9:
-                found = self._series_batch(sig[inner])
-            else:
-                found = self.integral(sig[inner])
-            for i, res in zip(inner.tolist(), found):
-                out[i] = res
-        return [self(s) if res is None else res
+        series = self._takes_series(sig[inner])
+        for pick, route in ((series, self._series_batch), (~series, self.integral)):
+            if pick.any():
+                for i, res in zip(inner[pick].tolist(), route(sig[inner[pick]])):
+                    out[i] = res
+        return [res if res is not None and self._meets_tol(res) else self(s)
                 for s, res in zip(sig.tolist(), out)]
 
 
@@ -569,15 +588,15 @@ def phi_integral(sigma: float, a: float, z: complex,
     """Phi(sigma, a, z) from Gamma(sigma) Phi = int_0^inf K(x) x^{sigma-1} dx
     on -1 < sigma < 0 and on 0 < sigma (below 1 when z = 1).
 
-    K is e^{(1-a)x}/(e^x - z) less the algebraic part that the integral
-    cannot carry at x = 0: 1/x for z = 1, and for sigma < 0 also the
-    constant C = K(0+), which is 1/2 - a for z = 1 and 1/(1-z) otherwise.
-    That gives the kernels H (z = 1, sigma > 0), G (z = 1, sigma < 0), G_z
-    (z != 1, sigma < 0) and the bare e^{(1-a)x}/(e^x - z) (z != 1,
-    sigma > 0).  The subtracted parts come back in closed form over
-    [1, inf); the layout is the one in the module docstring.  tol is the
-    absolute target.  0 < |1 - z| < 1e-3 is ConditioningError; a value or
-    estimate outside binary64 is DomainError.
+    For both signs the integrand on [0, 1] is G (z = 1) or G_z (z != 1):
+    K = e^{(1-a)x}/(e^x - z) less 1/x for z = 1 and less the constant
+    C = K(0+) of what is left, 1/2 - a for z = 1 and 1/(1-z) otherwise.
+    [1, inf) takes K itself, and C/sigma - [z = 1]/(1 - sigma) adds the
+    subtracted parts back in closed form; the layout is the one in the
+    module docstring.  tol is the absolute target, and the estimate is
+    returned as reached: evaluate, not this route, refuses one above tol.
+    0 < |1 - z| < 1e-3 is ConditioningError; a value or estimate outside
+    binary64 is DomainError.
     """
     sigma = float(sigma)
     return _Cell(a, z, tol).integral(sigma)
@@ -595,7 +614,8 @@ def evaluate(sigma: float, a: float, z: complex,
     is the zeta pole; sigma below -1 and non-finite sigma are outside the
     supported range.  tol is the absolute target of the series and
     integral routes; it must be positive.  The series raises
-    SeriesDivergenceError when its term cap cannot meet tol.
+    SeriesDivergenceError when its term cap cannot meet tol, and a result
+    whose estimate is above max(tol, tol |value|) is ConditioningError.
     """
     sigma = float(sigma)
     return _Cell(a, z, tol)(sigma)

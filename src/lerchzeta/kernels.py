@@ -11,9 +11,11 @@ cancel catastrophically, so H and G switch to their Bernoulli series
     H(a,x) = sum_{n>=1} B_n(1-a) x^{n-1} / n!
 
 below x0 = 0.5, and G_z uses an expm1-stabilised rewrite of the exact
-formula (see kernel_Gz; the naive 4-term Taylor fallback is not accurate
-enough for z close to the unit, where the nearest kernel pole sits at
-distance |log z| from the origin).
+formula below x = 1 (see kernel_Gz; the naive 4-term Taylor fallback is not
+accurate enough for z close to the unit, where the nearest kernel pole sits
+at distance |log z| from the origin).  That rewrite is the private _gz_near,
+which the evaluator's per-(a, z) object also samples on (0, 1) with a and z
+checked once.
 
 The x arguments of the kernel functions may be numpy arrays.
 """
@@ -116,6 +118,14 @@ def kernel_G(a: float, x):
     return _h_or_g(a, x, True)
 
 
+def _gz_near(a: float, zz: float | complex, x: np.ndarray) -> np.ndarray:
+    """G_z(a,x) on an array x in (0, 1), for a checked a and z != 1 (zz is
+    z, or its real part for real z): kernel_Gz's expm1 form."""
+    one_minus_z = 1.0 - zz
+    return ((one_minus_z * np.expm1((1.0 - a) * x) - np.expm1(x))
+            / (one_minus_z * (np.exp(x) - zz)))
+
+
 def kernel_Gz(a: float, z: complex, x):
     """G_z(a,x) = e^{(1-a)x}/(e^x - z) - 1/(1-z) for z != 1, x > 0.
 
@@ -138,19 +148,11 @@ def kernel_Gz(a: float, z: complex, x):
         raise DomainError("kernel_Gz requires x > 0")
     dtype = float if isinstance(zz, float) else complex
     out = np.empty(xa.shape, dtype=dtype)
-    one_minus_z = 1.0 - zz
     small = xa < 1.0
-    if small.any():
-        xs = xa[small]
-        num = one_minus_z * np.expm1((1.0 - a) * xs) - np.expm1(xs)
-        out[small] = num / (one_minus_z * (np.exp(xs) - zz))
-    big = ~small
-    if big.any():
-        xb = xa[big]
-        out[big] = np.exp(-a * xb) / (1.0 - zz * np.exp(-xb)) - 1.0 / one_minus_z
-    if isinstance(x, np.ndarray):
-        return out
-    return complex(out)
+    out[small] = _gz_near(a, zz, xa[small])
+    xb = xa[~small]
+    out[~small] = np.exp(-a * xb) / (1.0 - zz * np.exp(-xb)) - 1.0 / (1.0 - zz)
+    return out if isinstance(x, np.ndarray) else complex(out)
 
 
 def gz_taylor_coeffs(a: float, z: complex) -> np.ndarray:

@@ -371,6 +371,20 @@ class TestDispatcher:
         with pytest.raises(DomainError):
             evaluate(0.5, 0.5, 0.0)
 
+    @pytest.mark.parametrize("sigma, a, z, tol", [
+        (-0.5, 0.3, 1.0, 1e-20), (-0.5, 0.3, 0.5, 1e-25), (2.5, 0.3, 1.0, 1e-22),
+    ], ids=["integral", "series", "euler_maclaurin"])
+    def test_estimate_above_tol_refused(self, sigma, a, z, tol):
+        # evaluate and the batch meet max(tol, tol |value|) or raise; the
+        # direct routes keep returning their estimates
+        with pytest.raises(ConditioningError):
+            evaluate(sigma, a, z, tol)
+        with pytest.raises(ConditioningError):
+            _EVALUATE._Cell(a, z, tol).batch([sigma])
+        route = hurwitz_em(sigma, a) if sigma > 1.0 else (
+            phi_integral(sigma, a, z, tol) if z == 1 else phi_series(sigma, a, z, tol))
+        assert route.abs_err_estimate > tol * max(1.0, abs(route.value))
+
     def test_config_validation(self):
         # tol is the one accuracy input; every route that takes it refuses
         # a tol that is not positive
@@ -469,6 +483,24 @@ class TestCellReuse:
                 _hex(lambda: evaluate(s, a, z, tol)) for s in (0.0, -1.0)]
             with pytest.raises(DomainError):
                 cell.batch([-0.5, -1.5])
+
+    @pytest.mark.parametrize("z, a", [(1.0, 0.1), (-1.0, 0.37), (cmath.exp(1j), 0.43)],
+                             ids=["one", "minus_one", "unit"])
+    def test_one_table_per_level_for_both_signs(self, monkeypatch, z, a):
+        # sigma < 0 then sigma > 0 on one object: both sample the one kernel
+        # on [delta, 1], so each tanh-sinh level is built once
+        fresh = [_hex(lambda: evaluate(sigma, a, z)) for sigma in (-0.5, 0.5)]
+        built = []
+        _ts_table = _EVALUATE._ts_table
+
+        def counted(lo, hi, level):
+            built.append(level)
+            return _ts_table(lo, hi, level)
+
+        monkeypatch.setattr(_EVALUATE, "_ts_table", counted)
+        cell = _EVALUATE._Cell(a, z, 1e-10)
+        assert [_hex(lambda: cell(sigma)) for sigma in (-0.5, 0.5)] == fresh
+        assert built and sorted(built) == sorted(set(built))
 
     def test_batch_refuses_where_scalar_refuses(self):
         cell = _EVALUATE._Cell(0.3, 0.9995, 1e-10)

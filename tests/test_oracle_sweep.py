@@ -6,7 +6,9 @@ lerchphi at 30 digits as the oracle.  The strata are the places where a
 route can run out of reach: |z| = 1, 1 - |z| in [1e-8, 1e-2] (real z
 included), and arg z in [1e-6, 1e-3] next to z = 1, all with 1 < sigma < 4.5.
 A second stratum holds five scan cells: the vector pass over sigma in
-(-1, 0), and evaluate at the same sigma and at four sigma in (0, 1).
+(-1, 0), and evaluate at the same sigma and at four sigma in (0, 1).  A
+third holds sigma > 0 next to z = 1: |1 - z| in [1e-3, 1e-2] with sigma in
+(0, 1.5), sigma -> 1- at z = 0.999, and sigma -> 0+.
 """
 import cmath
 import importlib
@@ -102,3 +104,36 @@ def test_batch_meets_tol(a, z, oracle):
             misses.append((call, sigma, str(res.method), err,
                            res.abs_err_estimate))
     assert misses == []
+
+
+def _next_to_one(seed, n):
+    """n seeded (sigma, a, z) with |1 - z| in [1e-3, 1e-2], |z| <= 1 and
+    sigma in (0, 1.5)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        d = 10.0 ** rng.uniform(-3.0, -2.0)
+        # 1 - d e^{i t} with |t| < pi/3 stays inside the unit circle
+        z = 1.0 - d * cmath.exp(1j * rng.uniform(-1.0, 1.0))
+        out.append((rng.uniform(0.0, 1.5), rng.uniform(0.01, 1.0), z))
+    return out
+
+
+@pytest.mark.parametrize("sigma, a, z", [
+    # once an under-claim: error 1.131e-13 against an estimate of 1.096e-13
+    (0.7350442318693943, 0.06288227080559683,
+     0.9999994174929512 - 0.0010793580306587098j),
+    *_next_to_one(20261019, 4),
+    (1.0 - 1e-9, 0.3, 0.999), (1.0 - 1e-3, 0.7, 0.999),
+    (1e-9, 0.4, 0.999), (1e-9, 0.85, 1.0), (1e-6, 0.2, -1.0),
+])
+def test_positive_sigma_next_to_one(sigma, a, z):
+    # sigma > 0 on the integral route, where the kernel is G or G_z on
+    # [delta, 1] and C/sigma comes back in closed form
+    res = evaluate(sigma, a, z, TOL)
+    with mp.workdps(30):
+        ref = complex(mp.zeta(sigma, a) if z == 1
+                      else mp.lerchphi(mp.mpc(z), sigma, a))
+    err = abs(res.value - ref)
+    assert err <= res.abs_err_estimate <= max(TOL, TOL * abs(ref)), (
+        str(res.method), err, res.abs_err_estimate)

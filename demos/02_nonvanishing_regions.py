@@ -5,8 +5,9 @@ Non-vanishing holds exactly on
   z in [-1,1)  and (1-z)(1-a) <= 1
   z non-real
 and everywhere else a real zero exists.  The scanner double-checks the
-classifier: it hunts sign changes on a fine sigma grid anchored by the
-exact closed forms at sigma = 0 and sigma = -1.
+classifier: it scans the sign of a Chebyshev proxy of sigma -> Phi on
+[-1, 0], anchored by the exact closed forms at sigma = 0 and sigma = -1,
+and polishes each crossing by bisection on Phi itself.
 """
 import numpy as np
 

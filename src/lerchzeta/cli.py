@@ -18,10 +18,12 @@ or "unit:<theta>" for e^{i theta}; eval's --z defaults to 1, and the scan's
 --z additionally accepts a comma-separated list of reals.  --tol (default
 1e-10, must be positive) is the absolute accuracy target; the scan's --tol
 is one tolerance for the values and the roots: each value is evaluated to
-it and each root is bisected to it.  Exit codes: 0 success, 1 check failure,
-2 usage or domain error.  `--method integral` runs phi_integral, the
-Mellin integral, for the given sigma and z; `fe` and `em` have fixed
-truncations and ignore --tol.  Diagnostics go to stderr.
+it and each root is bisected on Phi to a bracket narrower than it.  A scan
+refuses an empty z list, or any z that classify refuses, before its first
+cell.  Exit codes: 0 success, 1 check failure, 2 usage or domain error.
+`--method integral` runs phi_integral, the Mellin integral, for the given
+sigma and z; `fe` and `em` have fixed truncations and ignore --tol.
+Diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -116,7 +118,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.a_max + args.a_step == args.a_max:
         raise LerchZetaError(f"--a-step {args.a_step} does not move "
                              f"--a-max {args.a_max}")
+    # so does an empty z list, or a z that classify (like scan_zeros) refuses
     z_list = _parse_z_spec(args.z)
+    if not z_list:
+        raise LerchZetaError(f"--z {args.z!r} holds no z")
+    for z in z_list:
+        try:
+            classify(args.a_min, z)
+        except LerchZetaError as exc:
+            raise LerchZetaError(f"--z {z}: {exc}") from exc
     a_values = []
     a = args.a_min
     while a <= args.a_max + 1e-12:

@@ -89,10 +89,11 @@ body, or of the series' first chunk as a (sigma x terms) matrix where the
 series is evaluate's route.  Summed in another order, its values agree
 with the scalar calls within their estimates, not bit for bit; a sigma
 whose vector value is not finite or misses tol takes the scalar call, so a
-batch raises only where a scalar call raises.  zeros.scan_zeros evaluates its 199-point
-grid and zeros.check_case3 its 9 sigma with one batch per (a, z); the
-bisection and residuals of scan_zeros stay on the scalar call.  The object
-lives as long as its caller holds it: nothing is cached across (a, z).
+batch raises only where a scalar call raises.  zeros.scan_zeros evaluates
+the nodes of its Chebyshev proxy and zeros.check_case3 its 9 sigma with one
+batch per (a, z); the polish and residuals of scan_zeros stay on the scalar
+call.  The object lives as long as its caller holds it: nothing is cached
+across (a, z).
 """
 from __future__ import annotations
 

@@ -8,24 +8,29 @@ Non-vanishing holds exactly when
   [CaseII]  z in [-1,1) and  (1-z)(1-a) <= 1
   [CaseIII] z non-real, 0 < a <= 1  (the imaginary part never vanishes)
 
-with boundaries included.  Everywhere else a zero exists in (-1,0); the
-scanner locates sign changes on a sigma grid augmented by the exact closed
-forms at sigma = 0 and sigma = -1 (which is what forces a bracket whenever
-the endpoint values disagree in sign, even if the interior zero sits close
-to an endpoint), then refines each bracket by bisection.
+with boundaries included.  Everywhere else a zero exists in (-1,0).  The
+scanner replaces sigma -> Phi(sigma,a,z) on [-1,0] by a Chebyshev proxy
+with an error bound E, sampled at Chebyshev-Lobatto points whose two ends
+are the exact closed forms at sigma = -1 and sigma = 0 (what forces a
+crossing whenever the endpoint values disagree in sign, even if the
+interior zero sits close to an endpoint).  It scans the proxy's sign,
+then polishes each crossing by bisection on Phi itself.
 
-The scan is a census at grid resolution: it reports what it finds and does
-not assert completeness (a zero pair closer than the grid step could evade
-it).
+The census is as complete as E is a bound: E bounds the proxy's error
+when the error estimates of the sampled values are true bounds and the
+proxy's coefficients keep falling off past the last ones computed
+(scan_zeros).  Phi then has the proxy's sign wherever the proxy exceeds
+E in size.  A zero pair closer than the spacing of the proxy's sign scan
+(1/2048) could still evade it.
 
 Each scan_zeros cell and each check_case3 call evaluates through one
 per-(a, z) object of the evaluate module, so the coefficient tables, the
 kernel samples and the series powers of its (a, z) are built once for all
-its sigma.  The sigma grid of a cell, and the nine sigma of check_case3,
-go through that object's vector call in one pass; those values agree with
-a fresh evaluate per sigma within the error estimates, not bit for bit.
-The bisection and the residuals evaluate one sigma at a time through the
-scalar call, which gives the bits of a fresh evaluate.
+its sigma.  The proxy's nodes of a cell, and the nine sigma of
+check_case3, go through that object's vector call in one pass; those
+values agree with a fresh evaluate per sigma within the error estimates,
+not bit for bit.  The polish and the residuals evaluate one sigma at a
+time through the scalar call, which gives the bits of a fresh evaluate.
 """
 from __future__ import annotations
 
@@ -56,7 +61,11 @@ __all__ = [
 B2_ROOT_LOWER = (3.0 - math.sqrt(3.0)) / 6.0   # 0.21132...
 B2_ROOT_UPPER = (3.0 + math.sqrt(3.0)) / 6.0   # 0.78867...
 _CASE3_SIGMAS = np.linspace(-0.9, -0.1, 9)
-_GRID_STEP = 0.005          # sigma grid of scan_zeros
+_PROXY_MIN = 16             # first Chebyshev-Lobatto degree of the sigma proxy
+_PROXY_MAX = 128            # its cap; the degree doubles up to it
+_SCAN_X = np.linspace(-1.0, 1.0, 2049)   # the proxy's sign scan, x = 2 sigma + 1
+_SCAN_SIGMAS = 0.5 * (_SCAN_X - 1.0)
+_COS_TABLES: dict[int, np.ndarray] = {}   # degree -> _cheb_table
 
 
 class Region(str, Enum):
@@ -94,7 +103,7 @@ def classify(a: float, z: complex) -> RegionVerdict:
             return RegionVerdict(Region.CASE_I, "z = 1 and a in [b+, 1]")
         return RegionVerdict(Region.ZERO_EXISTS,
                              "z = 1 and a outside [b-, 1/2] u [b+, 1]")
-    if zr > 1.0:
+    if zr > 1.0 or zr < -1.0:
         raise DomainError("real z must lie in [-1, 1]")
     prod = (1.0 - zr) * (1.0 - a)
     if prod <= 1.0:
@@ -142,23 +151,104 @@ def _bisect(f, lo: float, hi: float, sign_lo: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _cheb_table(n: int) -> np.ndarray:
+    """The (n+1) x (n+1) matrix that takes values at x_k = cos(pi k/n) to
+    the Chebyshev coefficients of their degree-n interpolant (a type-I
+    cosine transform with halved end terms); built once per degree."""
+    table = _COS_TABLES.get(n)
+    if table is None:
+        k = np.arange(n + 1)
+        table = np.cos(np.outer(k, k) * (np.pi / n)) * (2.0 / n)
+        table[:, [0, n]] *= 0.5
+        table[[0, n]] *= 0.5
+        _COS_TABLES[n] = table
+    return table
+
+
+def _clenshaw(c, x):
+    """sum_j c_j T_j(x), for a float or an array x."""
+    b1 = b2 = 0.0
+    x2 = x + x
+    for cj in c[:0:-1]:
+        b1, b2 = cj + x2 * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+def _cheb_deriv(c: list[float]) -> list[float]:
+    """Chebyshev coefficients of d/dx sum_j c_j T_j(x)."""
+    n = len(c) - 1
+    d = [0.0] * (n + 2)
+    for k in range(n, 0, -1):
+        d[k - 1] = d[k + 1] + 2.0 * k * c[k]
+    d[0] *= 0.5
+    return d[:n]
+
+
+def _proxy(cell: _Cell, phi_m1: float, phi_0: float) -> tuple[list[float], float]:
+    """Chebyshev coefficients, in x = 2 sigma + 1, of the interpolant of
+    Phi(., a, z) on [-1, 0] at sigma_k = (cos(pi k/n) - 1)/2, k = 0..n, and
+    its error bound E.
+
+    The ends are the closed forms; the interior nodes take one vector call.
+    n starts at _PROXY_MIN and doubles, so the nodes nest and only the new
+    ones are evaluated, while the last two coefficients are above the
+    accuracy every value meets (max(tol, tol |Phi|)), up to _PROXY_MAX.
+    E is those two coefficients plus a bound on the Lebesgue constant of
+    the nodes, 1 + (2/pi) log(n + 1), times the largest abs_err_estimate.
+    """
+    vals, err, n = np.array([phi_0, phi_m1]), 0.0, _PROXY_MIN
+    while True:
+        k = np.arange(n + 1)
+        new = k % (n // (vals.size - 1)) != 0
+        res = cell.batch(0.5 * (np.cos(k[new] * (np.pi / n)) - 1.0))
+        full = np.empty(n + 1)
+        full[~new] = vals
+        full[new] = [r.value.real for r in res]
+        vals = full
+        err = max([err] + [r.abs_err_estimate for r in res])
+        c = np.einsum("jk,k->j", _cheb_table(n), vals)
+        tail = abs(c[-2]) + abs(c[-1])
+        if n == _PROXY_MAX or tail <= cell.tol * max(1.0, np.abs(vals).max()):
+            break
+        n *= 2
+    lebesgue = 1.0 + 2.0 / math.pi * math.log(n + 1)
+    return c.tolist(), float(tail + lebesgue * err)
+
+
 def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
-    """Bracket and refine the real zeros of sigma -> Phi(sigma,a,z) on (-1,0).
+    """Locate the real zeros of sigma -> Phi(sigma,a,z) on (-1,0).
 
     tol is one tolerance for both the values and the roots: each value
-    is evaluated to it, and bisection stops once a bracket is narrower.
+    is evaluated to it, and each root is bisected until its bracket is
+    narrower.
 
     z must be real (Phi is real-valued there); non-real z never has real
-    zeros on (-1,0) and belongs to check_case3.  The interior grid runs
-    from -0.9975 to -0.0025 in steps of 0.005; the exact closed forms at
-    sigma = -1 and sigma = 0 are prepended/appended as sign anchors.  Exact
-    zeros (possible only for the closed forms, e.g. Phi(-1, 1/2, -1) = 0)
-    carry no sign and never seed a bracket.
+    zeros on (-1,0) and belongs to check_case3.  Phi(., a, z) is replaced
+    by a Chebyshev proxy p on [-1, 0] (_proxy: degree 16 unless its
+    coefficients ask for more, the 15 nodes inside (-1, 0) in one vector
+    call) with error bound E.
+    The sign of p is scanned on 2049 equally spaced sigma, with the exact
+    closed forms at sigma = -1 and 0 as the end signs, so a crossing is
+    forced whenever they disagree; exact zeros (possible only for the
+    closed forms, e.g. Phi(-1, 1/2, -1) = 0) carry no sign.  Each crossing
+    is refined on p, then polished on the true Phi: a bracket of
+    half-width max(tol/2, 2E/|p'|) about it, widened (not past the middle
+    to a neighbouring crossing) until its ends differ in sign, is bisected
+    to tol.  A crossing whose bracket never changes sign is dropped.  The
+    brackets reported are those sign-change brackets of the true Phi.
 
-    The grid, the bisection and the residuals share one per-(a, z) object,
-    so what does not depend on sigma is built once per cell.  The 199 grid
-    values come from one vector call of that object; the bisection and the
-    residuals make scalar calls, about 27 per root at tol = 1e-10.
+    E bounds |Phi - p| on [-1, 0] if the abs_err_estimates bound the true
+    errors and the coefficients past the last two fall off at least as
+    fast as those two did (they decay geometrically, Phi being entire in
+    sigma for z != 1 and analytic past sigma = 1 for z = 1).  Then Phi has
+    the sign of p wherever |p| > E, and every zero of Phi lies where
+    |p| <= E.  The scan can still miss a pair of crossings of p closer
+    than its spacing, 1/2048.
+
+    The proxy, the polish and the residuals share one per-(a, z) object,
+    so what does not depend on sigma is built once per cell.  The polish
+    and the residuals make scalar calls: 3 to 9 per root at tol = 1e-10,
+    about 5 on average.
     """
     a = _check_a(a)
     zc = complex(z)
@@ -169,10 +259,6 @@ def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
     if zr > 1.0 or zr < -1.0:
         raise DomainError("real z must lie in [-1, 1]")
 
-    eps = 0.5 * _GRID_STEP
-    count = int(round((1.0 - _GRID_STEP) / _GRID_STEP)) + 1
-    interior = -1.0 + eps + _GRID_STEP * np.arange(count)
-
     cell = _Cell(a, zr, tol)
 
     def f(sig: float) -> float:
@@ -180,26 +266,45 @@ def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
 
     phi_m1 = special_value(-1, a, zr).real
     phi_0 = special_value(0, a, zr).real
-    sig_pts = [-1.0] + interior.tolist() + [0.0]
-    vals = [phi_m1] + [r.value.real for r in cell.batch(interior)] + [phi_0]
+    c, bound = _proxy(cell, phi_m1, phi_0)
 
+    def p(sig: float) -> float:
+        return _clenshaw(c, 2.0 * sig + 1.0)
+
+    # crossings of p on the scan grid, refined on p
+    scan = _clenshaw(c, _SCAN_X)
+    scan[0], scan[-1] = phi_m1, phi_0
+    signed = np.flatnonzero(scan)
+    signs = np.sign(scan[signed])
+    flip = np.flatnonzero(signs[1:] != signs[:-1])
+    crossings = [_bisect(p, lo, hi, sign_lo, 0.25 * tol)
+                 for lo, hi, sign_lo in zip(_SCAN_SIGMAS[signed[flip]].tolist(),
+                                            _SCAN_SIGMAS[signed[flip + 1]].tolist(),
+                                            signs[flip].tolist())]
+
+    # each crossing polished on Phi inside its share of (-1, 0)
+    ends = {-1.0: phi_m1, 0.0: phi_0}
+    dc = _cheb_deriv(c)
     brackets: list[tuple[float, float]] = []
-    bracket_signs: list[float] = []
-    prev_i = None
-    for i, v in enumerate(vals):
-        if v == 0.0:
-            continue
-        if prev_i is not None and math.copysign(1.0, v) != math.copysign(1.0, vals[prev_i]):
-            brackets.append((sig_pts[prev_i], sig_pts[i]))
-            bracket_signs.append(math.copysign(1.0, vals[prev_i]))
-        prev_i = i
-
     roots: list[float] = []
     residuals: list[float] = []
-    for (lo, hi), sign_lo in zip(brackets, bracket_signs):
-        root = _bisect(f, lo, hi, sign_lo, tol)
-        roots.append(root)
-        residuals.append(abs(f(root)))
+    for i, r in enumerate(crossings):
+        left = 0.5 * (crossings[i - 1] + r) if i else -1.0
+        right = 0.5 * (r + crossings[i + 1]) if i + 1 < len(crossings) else 0.0
+        slope = abs(2.0 * _clenshaw(dc, 2.0 * r + 1.0))
+        half = max(0.5 * tol, 2.0 * bound / slope) if slope > 0.0 else 1.0
+        while True:
+            lo, hi = max(left, r - half), min(right, r + half)
+            f_lo, f_hi = (ends[s] if s in ends else f(s) for s in (lo, hi))
+            changes = f_lo != 0.0 != f_hi and (f_lo < 0.0) != (f_hi < 0.0)
+            if changes or (lo, hi) == (left, right):
+                break
+            half *= 2.0
+        if changes:
+            root = _bisect(f, lo, hi, math.copysign(1.0, f_lo), tol)
+            brackets.append((lo, hi))
+            roots.append(root)
+            residuals.append(abs(f(root)))
 
     return ZeroReport(a=a, z=zr, brackets=tuple(brackets), roots=tuple(roots),
                       residuals=tuple(residuals),

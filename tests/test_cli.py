@@ -7,6 +7,7 @@ import pytest
 
 from lerchzeta import ConditioningError, cli
 from lerchzeta.cli import main
+from lerchzeta.zeros import scan_zeros
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +192,29 @@ class TestScan:
         err = capsys.readouterr().err
         assert code == 2
         assert flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("zspec", [
+        ",", "1,2", "-1.0000000000001", "0.5,-1.5", "0,0.5", "nan", "2j",
+    ])
+    def test_bad_z_list_is_usage_error(self, capsys, monkeypatch, tmp_path,
+                                       zspec):
+        # an empty list, or any z that classify or scan_zeros refuses, is
+        # refused before the first cell and before --out is touched
+        scanned = []
+
+        def counted(*args, **kwargs):
+            scanned.append(args)
+            return scan_zeros(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "scan_zeros", counted)
+        out = tmp_path / "x.csv"
+        code = main(["scan", "--a-min", "0.4", "--a-max", "0.4", "--a-step",
+                     "0.1", f"--z={zspec}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--z" in err
+        assert scanned == []
         assert not out.exists()
 
     def test_failed_scan_leaves_out_as_it_was(self, capsys, monkeypatch,

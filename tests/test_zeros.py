@@ -1,7 +1,9 @@
 """Region classifier and real-zero scanner tests."""
 import importlib
 import math
+import random
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ import pytest
 from lerchzeta import (B2_ROOT_LOWER, B2_ROOT_UPPER, DomainError,
                        Region, SignConstancyError, WrongPathError, check_case3,
                        classify, evaluate, run_suite, scan_zeros)
+from lerchzeta.evaluate import _Cell, special_value
 
 FAST = 1e-8
+zeros_mod = importlib.import_module("lerchzeta.zeros")
 
 
 class TestClassify:
@@ -45,6 +49,12 @@ class TestClassify:
             classify(0.5, complex(1.2, 0.3))
         with pytest.raises(DomainError):
             classify(1.2, 1.0)
+        # real z below -1, which scan_zeros refuses too
+        for z in (-1.0000000000001, -1.5):
+            with pytest.raises(DomainError):
+                classify(0.3, z)
+            with pytest.raises(DomainError):
+                scan_zeros(0.3, z)
 
 
 class TestScanZeros:
@@ -108,8 +118,8 @@ class TestScanZeros:
                 return _fn(*args)
             for mod in (evaluate_mod, kernels):
                 monkeypatch.setattr(mod, name, counted)
-        # and the node mapping of each quadrature level once per cell, where
-        # a rebuild per sigma would reach every level once per grid point
+        # and the node mapping of each quadrature level once per cell, not
+        # once per sigma
         quadrature = importlib.import_module("lerchzeta.quadrature")
         levels = {name: Counter() for name in ("_ts_level_nodes", "_es_level_nodes")}
         for name, seen in levels.items():
@@ -132,10 +142,10 @@ class TestScanZeros:
         scan_zeros(0.1, -1.0)
         assert calls == Counter(gz_taylor_coeffs=1)
 
-    def test_grid_in_one_vector_call(self, monkeypatch):
-        # the 199-point grid is one batch call; the scalar calls are the
-        # bisection and the residual of each root (about 27 each), where a
-        # call per grid point would add 199
+    def test_call_budget(self, monkeypatch):
+        # the proxy's nodes take at most two vector calls (degree 16, then
+        # 32 if its coefficients ask); the scalar calls are each root's
+        # polish and residual
         cell_cls = importlib.import_module("lerchzeta.evaluate")._Cell
         calls = Counter()
         for name in ("__call__", "batch"):
@@ -143,10 +153,51 @@ class TestScanZeros:
                 calls[_name] += 1
                 return _fn(self, sigma)
             monkeypatch.setattr(cell_cls, name, counted)
-        rep = scan_zeros(0.1, 1.0)
-        assert len(rep.roots) >= 1
-        assert calls["batch"] == 1
-        assert 1 <= calls["__call__"] <= 40 * len(rep.roots), calls
+        for a, z in ((0.1, 1.0), (0.1, -1.0), (0.6, 1.0), (0.02, -0.7),
+                     (0.3, 0.5)):
+            calls.clear()
+            rep = scan_zeros(a, z, tol=1e-10)
+            assert 1 <= calls["batch"] <= 2, (a, z, calls)
+            assert calls["__call__"] <= 12 * len(rep.roots), (a, z, calls)
+
+    def test_report_holds_plain_floats(self):
+        for z in (1.0, -1.0, 0.5):
+            rep = scan_zeros(0.1, z, tol=FAST)
+            values = [*rep.roots, *rep.residuals,
+                      *(end for bracket in rep.brackets for end in bracket),
+                      rep.value_at_neg_one, rep.value_at_zero, rep.a, rep.z]
+            assert rep.roots or z == 0.5
+            for x in values:
+                assert type(x) is float, (z, x, type(x))
+
+    def test_keeps_two_roots_1e_3_apart(self, monkeypatch):
+        # Phi replaced by (sigma - r1)(sigma - r2) e^sigma: the proxy's sign
+        # scan must see the dip between the roots and polish both
+        r1, r2 = -0.41237, -0.41137
+
+        def phi(sigma):
+            return (sigma - r1) * (sigma - r2) * math.exp(sigma)
+
+        class TwoRoots:
+            def __init__(self, a, z, tol):
+                self.tol = tol
+
+            def __call__(self, sigma):
+                return SimpleNamespace(value=complex(phi(sigma)),
+                                       abs_err_estimate=0.0)
+
+            def batch(self, sigmas):
+                return [self(s) for s in np.asarray(sigmas).tolist()]
+
+        monkeypatch.setattr(zeros_mod, "_Cell", TwoRoots)
+        monkeypatch.setattr(zeros_mod, "special_value",
+                            lambda order, a, z: complex(phi(float(order))))
+        rep = scan_zeros(0.3, 0.5, tol=1e-10)
+        assert len(rep.roots) == 2
+        assert rep.roots[0] == pytest.approx(r1, abs=1e-10)
+        assert rep.roots[1] == pytest.approx(r2, abs=1e-10)
+        for (lo, hi), root in zip(rep.brackets, rep.roots):
+            assert lo <= root <= hi and phi(lo) * phi(hi) < 0.0
 
     def test_domain_errors(self):
         with pytest.raises(WrongPathError):
@@ -168,6 +219,57 @@ class TestScanZeros:
                 rep = scan_zeros(a, z, tol=FAST)
                 expect = verdict.tag is Region.ZERO_EXISTS
                 assert (rep.n_brackets >= 1) == expect, (a, z, verdict)
+
+
+def _grid_roots(a, z, tol):
+    """The census before the proxy, kept as the reference: Phi at 199
+    equally spaced sigma in one vector call, the closed forms at sigma = -1
+    and 0 as end signs, and zeros._bisect on each sign change."""
+    cell = _Cell(a, z, tol)
+    interior = -1.0 + 0.0025 + 0.005 * np.arange(199)
+    sigmas = [-1.0] + interior.tolist() + [0.0]
+    values = ([special_value(-1, a, z).real]
+              + [r.value.real for r in cell.batch(interior)]
+              + [special_value(0, a, z).real])
+    roots = []
+    prev = None
+    for sigma, value in zip(sigmas, values):
+        if value == 0.0:
+            continue
+        if prev is not None and (value < 0.0) != (prev[1] < 0.0):
+            roots.append(zeros_mod._bisect(lambda s: cell(s).value.real,
+                                           prev[0], sigma,
+                                           math.copysign(1.0, prev[1]), tol))
+        prev = (sigma, value)
+    return roots
+
+
+def _reference_cells(kind):
+    if kind == "acceptance":
+        return [(round(0.01 * k, 2), z) for z in (1.0, -1.0)
+                for k in range(1, 101)]
+    if kind == "seeded":
+        rng = random.Random(15)
+        return [(1.0 - rng.random(), rng.uniform(-1.0, 0.99))
+                for _ in range(100)]
+    # 1e-4, 1e-7 and 1e-10 either side of each boundary, where a root sits
+    # next to sigma = -1 or 0
+    return [(edge + side * d, z)
+            for edge, z in ((B2_ROOT_LOWER, 1.0), (0.5, 1.0),
+                            (B2_ROOT_UPPER, 1.0), (0.5, -1.0))
+            for d in (1e-4, 1e-7, 1e-10) for side in (-1.0, 1.0)]
+
+
+@pytest.mark.parametrize("kind", ["acceptance", "seeded", "boundaries"])
+def test_proxy_matches_grid_census(kind):
+    # the proxy finds the roots the 199-point grid and bisection found,
+    # each within 1e-10, at tol = 1e-10
+    for a, z in _reference_cells(kind):
+        expected = _grid_roots(a, z, 1e-10)
+        rep = scan_zeros(a, z, tol=1e-10)
+        assert len(rep.roots) == len(expected), (a, z, rep.roots, expected)
+        for root, ref in zip(rep.roots, expected):
+            assert abs(root - ref) <= 1e-10, (a, z, root, ref)
 
 
 class TestCase3:

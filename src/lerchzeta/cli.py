@@ -28,6 +28,7 @@ Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -162,7 +163,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="lerch",
         description="Hurwitz-Lerch zeta evaluation, zero scans and "

@@ -25,6 +25,11 @@ applied _TAIL_DEPTH = 6 times past N = _N_MAX = 4096 terms (bilateral
 sums run over -N..N).  Each application shrinks the tail by roughly
 |g'/g| / |1-q| ~ 1/(N |1-q|), so a handful of terms reaches near machine
 accuracy for a away from the integers.
+
+The 2N + 1 terms of the bilateral core are summed in real polar form:
+|base|^{s-1} times the cosine and the sine of (s-1) arg(base) + 2 pi n a.
+That takes one real power, one arctan2, one cosine and one sine per term
+instead of a complex power and a complex exponential.
 """
 from __future__ import annotations
 
@@ -116,7 +121,7 @@ def phi_fe_rhs(sigma: float, a: float, z: complex) -> EvalResult:
 
     z^{-a} Gamma(1-s) sum_{|n| <= 4096} (-log z + 2pi i n)^{s-1} e^{2pi i n a},
     principal branch throughout, symmetric truncation, Abel-corrected tails
-    on both sides.
+    on both sides.  The core is summed in real polar form.
     """
     sigma = _check_sigma_neg(sigma)
     a = _check_open_a(a)
@@ -125,9 +130,18 @@ def phi_fe_rhs(sigma: float, a: float, z: complex) -> EvalResult:
         raise DomainError("z = 1 makes the n = 0 term singular; use zeta_fe_rhs")
     log_z = principal_log(z)
     n = np.arange(-_N_MAX, _N_MAX + 1, dtype=float)
-    bases = -log_z + 2j * math.pi * n
-    core = complex(np.sum(bases ** (sigma - 1.0)
-                          * np.exp(2j * math.pi * a * n)))
+    # (-log z + 2 pi i n)^{s-1} e^{2 pi i n a} in real polar form: the
+    # bases have Re = -log|z| >= 0, so arctan2 is the principal argument;
+    # a n is taken mod 1 first, so the two angles add without the rounding
+    # of a sum near 2 pi a N
+    re = -log_z.real
+    im = _TWO_PI * n - log_z.imag
+    mag = (re * re + im * im) ** (0.5 * (sigma - 1.0))
+    turns = a * n
+    turns -= np.rint(turns)
+    phase = (sigma - 1.0) * np.arctan2(im, re) + _TWO_PI * turns
+    core = complex(float(np.sum(mag * np.cos(phase))),
+                   float(np.sum(mag * np.sin(phase))))
     q_pos = cmath.exp(2j * math.pi * a)
     q_neg = q_pos.conjugate()
     t_pos, e_pos = _abel_tail(

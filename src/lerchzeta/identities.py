@@ -23,6 +23,14 @@ remaining terms.  R1 and R4 hold for every character/index.  All six are
 exact identities; verify_six_relations computes each side independently
 (direct series or Euler-Maclaurin) and reports the residuals.
 
+The direct series of a period-q coefficient sequence is sum_r c_r S_r over
+the residue-class sums S_r = sum_{n = r mod q} n^{-sigma}: one vector of
+n^{-sigma}, n <= 200000, is summed class by class, and each class gets the
+Euler-Maclaurin integral tail of its own arithmetic progression.  The
+class sums of the last (sigma, q) are kept, so one call of
+verify_six_relations raises n^{-sigma} twice: once for the class sums and
+once for the plain zeta sum of the principal characters.
+
 Characters are explicit value tables.  Built-ins cover moduli 1..4 (the
 real primitive cases plus the principal characters needed by R2/R6); any
 other character is a CharacterTable(q, values), checked by validate().
@@ -167,14 +175,35 @@ def _hurwitz_combination(sigma: float, weights: Sequence[complex]) -> EvalResult
     return EvalResult(value, err, Method.EULER_MACLAURIN)
 
 
+@functools.lru_cache(maxsize=1)
+def _residue_sums(sigma: float, q: int) -> tuple[float, ...]:
+    """The class sums S_r = sum_{n = r mod q} n^{-sigma}, r = 1..q, sigma > 1:
+    one vector of n^{-sigma}, n <= N = 200000, reduced class by class, plus
+    each class's elementary integral tail past N,
+
+        q^{-s} [x^{1-s}/(s-1) + x^{-s}/2 + s x^{-s-1}/12],  x = n_r/q,
+
+    with n_r the first n > N in the class.  The last (sigma, q) is kept:
+    verify_six_relations asks for the same sums once per non-principal
+    character and once per Li with q not dividing r."""
+    powers = np.arange(1, _SERIES_TERMS + 1, dtype=float)
+    np.power(powers, -sigma, out=powers)
+    sums = []
+    for r in range(1, q + 1):
+        x = (_SERIES_TERMS + 1 + (r - _SERIES_TERMS - 1) % q) / q
+        tail = q ** (-sigma) * (x ** (1.0 - sigma) / (sigma - 1.0)
+                                + 0.5 * x ** (-sigma)
+                                + sigma * x ** (-sigma - 1.0) / 12.0)
+        sums.append(float(np.sum(powers[r - 1::q])) + tail)
+    return tuple(sums)
+
+
 def _periodic_series(sigma: float, coeffs: Sequence[complex]) -> complex:
-    """sum_{n=1}^N c_n n^{-sigma}, N = 200000, with c_n = coeffs[(n-1) % q]
-    tiled exactly over the period q = len(coeffs)."""
-    q = len(coeffs)
-    c = np.tile(np.array(coeffs, dtype=complex),
-                _SERIES_TERMS // q + 1)[:_SERIES_TERMS]
-    terms = c * np.arange(1, _SERIES_TERMS + 1, dtype=float) ** (-sigma)
-    return complex(np.sum(terms.real), np.sum(terms.imag))
+    """sum_{n>=1} c_n n^{-sigma} with c_n = coeffs[(n-1) % q], q = len(coeffs),
+    as sum_r c_r S_r over the tail-corrected class sums."""
+    sums = _residue_sums(sigma, len(coeffs))
+    terms = [complex(c) * s for c, s in zip(coeffs, sums)]
+    return complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
 
 
 def dirichlet_L(sigma: float, chi: CharacterTable) -> EvalResult:
@@ -218,11 +247,12 @@ def dirichlet_L_series(sigma: float, chi: CharacterTable) -> complex:
     """Direct-series oracle for L(sigma, chi), sigma > 1, independent of the
     Hurwitz machinery.
 
-    Non-principal characters: plain truncation at N = 200000 terms (bounded
-    character sums give a tail below q N^{-sigma}).  Principal characters
-    have a non-oscillating tail, handled through L(s,chi0) =
-    sum_{d|q} mu(d) d^{-s} zeta(s) with the zeta factor from the
-    tail-corrected plain sum."""
+    Non-principal characters: sum_r chi(r) S_r over the class sums S_r of
+    n^{-sigma} (N = 200000 terms in all, each class with its own integral
+    tail); what is left out is the next Euler-Maclaurin term, of order
+    q^{-sigma} (N/q)^{-sigma-3} per class.  Principal characters go through
+    L(s,chi0) = sum_{d|q} mu(d) d^{-s} zeta(s) with the zeta factor from
+    the tail-corrected plain sum."""
     sigma = float(sigma)
     if not sigma > 1.0:
         raise DomainError("the direct L series needs sigma > 1")
@@ -236,11 +266,11 @@ def dirichlet_L_series(sigma: float, chi: CharacterTable) -> complex:
 
 def polylog_series(sigma: float, r: int, q: int) -> complex:
     """Direct-series oracle for Li_sigma(e^{2 pi i r/q}), sigma > 1, from
-    N = 200000 terms.
+    N = 200000 terms plus integral tails.
 
-    q | r reduces to the zeta sum (tail-corrected); otherwise the root-of-
-    unity phases are tiled exactly and the oscillating tail is below
-    2 N^{-sigma}/|1 - e^{2 pi i r/q}|."""
+    q | r reduces to the zeta sum (tail-corrected); otherwise it is
+    sum_k e^{2 pi i r k/q} S_k over the tail-corrected class sums, with
+    the truncation of dirichlet_L_series."""
     sigma = float(sigma)
     if not sigma > 1.0:
         raise DomainError("the direct polylog series needs sigma > 1")

@@ -72,6 +72,23 @@ class TestPhiFE:
             vc = phi_fe_rhs(sigma, a, z.conjugate()).value
             assert abs(vc - v.conjugate()) <= 1e-10
 
+    def test_against_mpmath(self):
+        # seeded (sigma, a, z) over z = -1, real z in (-1, 1), non-real
+        # |z| = 1 and non-real |z| < 1
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(16)
+        for i in range(16):
+            sigma = float(rng.uniform(-0.98, -0.02))
+            a = float(rng.uniform(0.02, 0.98))
+            theta = float(rng.uniform(0.01, math.pi)) * rng.choice((-1, 1))
+            z = (complex(-1.0), complex(rng.uniform(-0.99, 0.99)),
+                 cmath.exp(1j * theta),
+                 float(rng.uniform(0.05, 0.99)) * cmath.exp(1j * theta))[i % 4]
+            with mp.workdps(20):
+                want = complex(mp.lerchphi(z, sigma, a))
+            got = phi_fe_rhs(sigma, a, z).value
+            assert abs(got - want) <= 1e-11 * abs(want), (sigma, a, z)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             phi_fe_rhs(-0.5, 0.5, 1.0 + 0j)

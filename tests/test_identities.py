@@ -143,6 +143,31 @@ class TestLerchHurwitzBridges:
             lerch_from_hurwitz(0.5, 2, 2)   # r = q needs sigma > 1
 
 
+class TestDirectSeriesTails:
+    """At sigma = 1.5 the class sums stop 200000 terms in with a remainder
+    of order N^{-1/2}; only the per-class integral tails bring the direct
+    series to 1e-12."""
+
+    def test_L_series_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        for q in (3, 4):
+            chi = builtin_characters(q)[1]
+            with mp.workdps(30):
+                want = complex(mp.mpf(q) ** -1.5 * mp.fsum(
+                    chi.chi(r) * mp.zeta(1.5, mp.mpf(r) / q)
+                    for r in range(1, q + 1)))
+            assert abs(dirichlet_L_series(1.5, chi) - want) <= 1e-12
+
+    def test_polylog_series_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        for q in (3, 4):
+            for r in range(1, q + 1):
+                with mp.workdps(30):
+                    want = complex(mp.polylog(1.5,
+                                              mp.expjpi(mp.mpf(2 * r) / q)))
+                assert abs(polylog_series(1.5, r, q) - want) <= 1e-12
+
+
 class TestSixRelations:
     def test_q3_q4_at_2_5(self):
         for q in (3, 4):
@@ -154,6 +179,11 @@ class TestSixRelations:
 
     def test_q3_at_3(self):
         assert verify_six_relations(3.0, 3).max_residual <= 1e-9
+
+    def test_q3_q4_at_1_5(self):
+        for q in (3, 4):
+            rep = verify_six_relations(1.5, q)
+            assert rep.max_residual <= 1e-9, rep.residuals
 
     def test_q1_collapses(self):
         assert verify_six_relations(2.0, 1).max_residual <= 1e-12
@@ -182,6 +212,16 @@ class TestSixRelations:
             zeta.cache_clear()
             verify_six_relations(2.5, q)
             info = zeta.cache_info()
+            assert (info.misses, info.hits) == (1, requests - 1), info
+
+    def test_class_sums_summed_once(self):
+        # the class sums mod q serve the non-principal character and every
+        # Li with q not dividing r: 1 + 3 requests at q = 4, 1 + 2 at q = 3
+        sums = identities._residue_sums
+        for q, requests in ((4, 4), (3, 3)):
+            sums.cache_clear()
+            verify_six_relations(2.5, q)
+            info = sums.cache_info()
             assert (info.misses, info.hits) == (1, requests - 1), info
 
     def test_unsupported(self):

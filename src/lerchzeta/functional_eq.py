@@ -98,12 +98,15 @@ def zeta_fe_rhs(sigma: float, a: float) -> EvalResult:
 
     The two sums are complex conjugates for real sigma, so only one is
     computed; the result is real up to roundoff and returned with its
-    residual imaginary part intact (callers may check it).
+    residual imaginary part intact (callers may check it).  The error
+    estimate adds the Abel-tail bound and 16 eps sum_n n^{sigma-1}, the
+    rounding of the terms, which does not shrink when the sum cancels.
     """
     sigma = _check_sigma_neg(sigma)
     a = _check_open_a(a)
     n = np.arange(1, _N_MAX + 1, dtype=float)
-    s_plus = complex(np.sum(np.exp(2j * math.pi * a * n) * n ** (sigma - 1.0)))
+    mag = n ** (sigma - 1.0)
+    s_plus = complex(np.sum(np.exp(2j * math.pi * a * n) * mag))
     q = cmath.exp(2j * math.pi * a)
     tail, tail_err = _abel_tail(q, lambda m: m ** (sigma - 1.0))
     s_plus += tail
@@ -112,7 +115,8 @@ def zeta_fe_rhs(sigma: float, a: float) -> EvalResult:
         / (gamma_real(sigma) * math.sin(math.pi * sigma))
     value = pref * (cmath.exp(0.5j * math.pi * sigma) * s_plus
                     - cmath.exp(-0.5j * math.pi * sigma) * s_minus)
-    err = 2.0 * abs(pref) * (tail_err + 16.0 * np.finfo(float).eps * abs(s_plus))
+    err = 2.0 * abs(pref) * (tail_err
+                             + 16.0 * np.finfo(float).eps * float(np.sum(mag)))
     return EvalResult(value, float(err), Method.FUNCTIONAL_EQ)
 
 
@@ -121,7 +125,9 @@ def phi_fe_rhs(sigma: float, a: float, z: complex) -> EvalResult:
 
     z^{-a} Gamma(1-s) sum_{|n| <= 4096} (-log z + 2pi i n)^{s-1} e^{2pi i n a},
     principal branch throughout, symmetric truncation, Abel-corrected tails
-    on both sides.  The core is summed in real polar form.
+    on both sides.  The core is summed in real polar form.  The error
+    estimate adds the two Abel-tail bounds and 16 eps times the sum of the
+    term magnitudes.
     """
     sigma = _check_sigma_neg(sigma)
     a = _check_open_a(a)
@@ -153,7 +159,7 @@ def phi_fe_rhs(sigma: float, a: float, z: complex) -> EvalResult:
     gam = math.gamma(1.0 - sigma)
     value = za * gam * core
     err = abs(za) * gam * (e_pos + e_neg
-                           + 16.0 * np.finfo(float).eps * abs(core))
+                           + 16.0 * np.finfo(float).eps * float(np.sum(mag)))
     return EvalResult(complex(value), float(err), Method.FUNCTIONAL_EQ)
 
 

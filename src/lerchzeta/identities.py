@@ -25,11 +25,17 @@ exact identities; verify_six_relations computes each side independently
 
 The direct series of a period-q coefficient sequence is sum_r c_r S_r over
 the residue-class sums S_r = sum_{n = r mod q} n^{-sigma}: one vector of
-n^{-sigma}, n <= 200000, is summed class by class, and each class gets the
-Euler-Maclaurin integral tail of its own arithmetic progression.  The
-class sums of the last (sigma, q) are kept, so one call of
-verify_six_relations raises n^{-sigma} twice: once for the class sums and
-once for the plain zeta sum of the principal characters.
+n^{-sigma}, n <= N = 4096, is summed class by class, and each class gets
+the Euler-Maclaurin tail of its own arithmetic progression.  Principal
+characters, and zeta itself (Li at r = q), are period-q sequences too, so
+every L and Li of modulus q reads the same q class sums.  The first
+Euler-Maclaurin term left out of a class tail is at most
+
+  (|B_4|/4!) sigma(sigma+1)(sigma+2) q^{-sigma} (N/q)^{-sigma-3},
+
+about 2e-15 for sigma > 1 and q <= 4.  The class sums of the last three
+(sigma, q) are kept, so one call of verify_six_relations raises n^{-sigma}
+once per modulus it reads: q and the levels q/g of R6.
 
 Characters are explicit value tables.  Built-ins cover moduli 1..4 (the
 real primitive cases plus the principal characters needed by R2/R6); any
@@ -61,7 +67,7 @@ __all__ = [
     "verify_six_relations",
 ]
 
-_SERIES_TERMS = 200_000     # terms of the direct L and polylog series
+_SERIES_TERMS = 4096        # terms of the direct L and polylog series
 _CHI_TOL = 1e-12            # slack of the character axioms on caller tables
 
 
@@ -175,17 +181,20 @@ def _hurwitz_combination(sigma: float, weights: Sequence[complex]) -> EvalResult
     return EvalResult(value, err, Method.EULER_MACLAURIN)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=3)
 def _residue_sums(sigma: float, q: int) -> tuple[float, ...]:
     """The class sums S_r = sum_{n = r mod q} n^{-sigma}, r = 1..q, sigma > 1:
-    one vector of n^{-sigma}, n <= N = 200000, reduced class by class, plus
-    each class's elementary integral tail past N,
+    one vector of n^{-sigma}, n <= N = 4096, reduced class by class, plus
+    each class's Euler-Maclaurin tail past N,
 
         q^{-s} [x^{1-s}/(s-1) + x^{-s}/2 + s x^{-s-1}/12],  x = n_r/q,
 
-    with n_r the first n > N in the class.  The last (sigma, q) is kept:
-    verify_six_relations asks for the same sums once per non-principal
-    character and once per Li with q not dividing r."""
+    with n_r the first n > N in the class.  The next term, which is left
+    out, is at most (|B_4|/4!) s(s+1)(s+2) q^{-s} (N/q)^{-s-3}: about
+    2e-15 for s > 1 and q <= 4.  Three (sigma, q) are kept, the divisors
+    of the largest built-in modulus: verify_six_relations reads the sums
+    mod q for every character and Li of modulus q, and mod q/g for the
+    characters of each level g of R6."""
     powers = np.arange(1, _SERIES_TERMS + 1, dtype=float)
     np.power(powers, -sigma, out=powers)
     sums = []
@@ -214,70 +223,30 @@ def dirichlet_L(sigma: float, chi: CharacterTable) -> EvalResult:
     return _hurwitz_combination(float(sigma), chi.values)
 
 
-@functools.lru_cache(maxsize=1)
-def _zeta_series_direct(sigma: float) -> float:
-    """sum_m m^{-sigma} (sigma > 1) by plain summation plus the elementary
-    integral tail  M^{1-s}/(s-1) - M^{-s}/2 + s M^{-s-1}/12.  The last
-    sigma is kept: verify_six_relations asks for the same zeta(sigma) once
-    per principal character and once more for Li at r = q."""
-    m = np.arange(1, _SERIES_TERMS + 1, dtype=float)
-    partial = float(np.sum(m ** (-sigma)))
-    M = float(_SERIES_TERMS)
-    tail = (M ** (1.0 - sigma) / (sigma - 1.0) - 0.5 * M ** (-sigma)
-            + sigma * M ** (-sigma - 1.0) / 12.0)
-    return partial + tail
-
-
-def _mobius(n: int) -> int:
-    m, out = n, 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
-        out = -out
-    return out
-
-
 def dirichlet_L_series(sigma: float, chi: CharacterTable) -> complex:
     """Direct-series oracle for L(sigma, chi), sigma > 1, independent of the
-    Hurwitz machinery.
-
-    Non-principal characters: sum_r chi(r) S_r over the class sums S_r of
-    n^{-sigma} (N = 200000 terms in all, each class with its own integral
-    tail); what is left out is the next Euler-Maclaurin term, of order
-    q^{-sigma} (N/q)^{-sigma-3} per class.  Principal characters go through
-    L(s,chi0) = sum_{d|q} mu(d) d^{-s} zeta(s) with the zeta factor from
-    the tail-corrected plain sum."""
+    Hurwitz machinery: sum_r chi(r) S_r over the class sums S_r of
+    n^{-sigma} mod q (N = 4096 terms in all, each class with its own
+    Euler-Maclaurin tail).  Principal characters are no exception.  What
+    is left out is the next Euler-Maclaurin term, at most
+    (|B_4|/4!) sigma(sigma+1)(sigma+2) q^{-sigma} (N/q)^{-sigma-3} per
+    class."""
     sigma = float(sigma)
     if not sigma > 1.0:
         raise DomainError("the direct L series needs sigma > 1")
-    q = chi.q
-    if chi.is_principal:
-        zeta_val = _zeta_series_direct(sigma)
-        factor = fsum(_mobius(d) * d ** (-sigma) for d in _divisors(q))
-        return complex(factor * zeta_val, 0.0)
     return _periodic_series(sigma, chi.values)
 
 
 def polylog_series(sigma: float, r: int, q: int) -> complex:
-    """Direct-series oracle for Li_sigma(e^{2 pi i r/q}), sigma > 1, from
-    N = 200000 terms plus integral tails.
-
-    q | r reduces to the zeta sum (tail-corrected); otherwise it is
-    sum_k e^{2 pi i r k/q} S_k over the tail-corrected class sums, with
-    the truncation of dirichlet_L_series."""
+    """Direct-series oracle for Li_sigma(e^{2 pi i r/q}), sigma > 1:
+    sum_k e^{2 pi i r k/q} S_k over the class sums mod q, with the
+    truncation of dirichlet_L_series.  For q | r every coefficient is 1,
+    and the sum is zeta(sigma) as the fsum of the q class sums."""
     sigma = float(sigma)
     if not sigma > 1.0:
         raise DomainError("the direct polylog series needs sigma > 1")
     if q < 1 or not 1 <= r <= q:
         raise DomainError("need 1 <= r <= q")
-    if r % q == 0:
-        return complex(_zeta_series_direct(sigma), 0.0)
     return _periodic_series(sigma, [_unit_root(r * k, q) for k in range(1, q + 1)])
 
 

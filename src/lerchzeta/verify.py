@@ -169,7 +169,7 @@ def suite_identities() -> list[CheckResult]:
                     for q in (3, 4))
         results.append(CheckResult(
             f"six relations, sigma = {sigma}, q in {{3,4}}",
-            worst <= 1e-9, worst, 1e-9))
+            worst <= 1e-12, worst, 1e-12))
     chi4 = builtin_characters(4)[1]
     # direct alternating series 1 - 1/9 + 1/25 - ... as the oracle
     k = np.arange(0, 200_000, dtype=float)

@@ -47,6 +47,20 @@ class TestZetaFE:
             true_err = abs(res.value.real - hurwitz_em(sigma, a).value.real)
             assert true_err <= max(res.abs_err_estimate, 1e-12)
 
+    def test_error_estimate_bounds_mpmath(self):
+        # the rounding term grows with sum |terms|, not with |sum|: on
+        # cancelling sums an estimate of 16 eps |sum| falls short of the
+        # true error by up to 4x
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            sigma = float(rng.uniform(-0.98, -0.02))
+            a = float(rng.uniform(0.02, 0.98))
+            res = zeta_fe_rhs(sigma, a)
+            with mp.workdps(30):
+                want = complex(mp.zeta(sigma, a))
+            assert abs(res.value - want) <= res.abs_err_estimate, (sigma, a)
+
 
 class TestPhiFE:
     def test_matches_integral_path_minus_one(self):
@@ -88,6 +102,25 @@ class TestPhiFE:
                 want = complex(mp.lerchphi(z, sigma, a))
             got = phi_fe_rhs(sigma, a, z).value
             assert abs(got - want) <= 1e-11 * abs(want), (sigma, a, z)
+
+    def test_error_estimate_bounds_mpmath(self):
+        # seeded (sigma, a) at the roots of unity z = e^{2 pi i p/q},
+        # q = 2..6, where Phi = q^{-s} sum_j z^j zeta(s, (a + j)/q) gives a
+        # 30-digit oracle at the cost of q Hurwitz zeta values
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(17)
+        for _ in range(120):
+            sigma = float(rng.uniform(-0.98, -0.02))
+            a = float(rng.uniform(0.02, 0.98))
+            q = int(rng.integers(2, 7))
+            p = int(rng.integers(1, q))
+            res = phi_fe_rhs(sigma, a, cmath.exp(2j * math.pi * p / q))
+            with mp.workdps(30):
+                want = complex(mp.mpf(q) ** -sigma * mp.fsum(
+                    mp.expjpi(mp.mpf(2 * p * j) / q)
+                    * mp.zeta(sigma, (a + mp.mpf(j)) / q) for j in range(q)))
+            assert abs(res.value - want) <= res.abs_err_estimate, \
+                (sigma, a, p, q)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

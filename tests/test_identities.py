@@ -1,5 +1,6 @@
 """Character tables, Gauss sums, L-functions, polylogarithm relations."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,46 +145,63 @@ class TestLerchHurwitzBridges:
 
 
 class TestDirectSeriesTails:
-    """At sigma = 1.5 the class sums stop 200000 terms in with a remainder
-    of order N^{-1/2}; only the per-class integral tails bring the direct
-    series to 1e-12."""
+    """The class sums stop 4096 terms in.  Near sigma = 1 the remainder
+    past N is of order N^{1 - sigma}, close to the whole sum; each class's
+    Euler-Maclaurin tail brings the direct series to 1e-13 absolute, and
+    the first term it leaves out is at most about 2e-15."""
+
+    @staticmethod
+    def _oracle(sigma, q, weight):
+        """q^{-s} sum_r weight(r) zeta(s, r/q) at 30 digits."""
+        import mpmath as mp
+        with mp.workdps(30):
+            return complex(mp.mpf(q) ** -sigma * mp.fsum(
+                weight(r) * mp.zeta(sigma, mp.mpf(r) / q)
+                for r in range(1, q + 1)))
+
+    @staticmethod
+    def _sigmas():
+        # three bands: next to the pole, the slow middle, fast convergence
+        rng = np.random.default_rng(17)
+        return [s for lo, hi in ((1.01, 1.2), (1.2, 2.0), (2.0, 4.0))
+                for s in [lo] + [float(x) for x in rng.uniform(lo, hi, 3)]]
 
     def test_L_series_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        for q in (3, 4):
-            chi = builtin_characters(q)[1]
-            with mp.workdps(30):
-                want = complex(mp.mpf(q) ** -1.5 * mp.fsum(
-                    chi.chi(r) * mp.zeta(1.5, mp.mpf(r) / q)
-                    for r in range(1, q + 1)))
-            assert abs(dirichlet_L_series(1.5, chi) - want) <= 1e-12
+        pytest.importorskip("mpmath")
+        for sigma in self._sigmas():
+            for q in (1, 2, 3, 4):
+                for chi in builtin_characters(q):
+                    want = self._oracle(sigma, q, chi.chi)
+                    got = dirichlet_L_series(sigma, chi)
+                    assert abs(got - want) <= 1e-13, (sigma, chi.label)
 
     def test_polylog_series_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
-        for q in (3, 4):
-            for r in range(1, q + 1):
-                with mp.workdps(30):
-                    want = complex(mp.polylog(1.5,
-                                              mp.expjpi(mp.mpf(2 * r) / q)))
-                assert abs(polylog_series(1.5, r, q) - want) <= 1e-12
+        for sigma in self._sigmas():
+            for q in (1, 2, 3, 4):
+                for r in range(1, q + 1):
+                    want = self._oracle(sigma, q, lambda n: mp.expjpi(
+                        mp.mpf(2 * r * n) / q))
+                    got = polylog_series(sigma, r, q)
+                    assert abs(got - want) <= 1e-13, (sigma, r, q)
 
 
 class TestSixRelations:
     def test_q3_q4_at_2_5(self):
         for q in (3, 4):
             rep = verify_six_relations(2.5, q)
-            assert rep.max_residual <= 1e-9, rep.residuals
+            assert rep.max_residual <= 1e-12, rep.residuals
             assert set(rep.residuals) == {
                 "L_from_hurwitz", "hurwitz_from_L", "hurwitz_from_polylog",
                 "polylog_from_hurwitz", "L_from_polylog", "polylog_from_L"}
 
     def test_q3_at_3(self):
-        assert verify_six_relations(3.0, 3).max_residual <= 1e-9
+        assert verify_six_relations(3.0, 3).max_residual <= 1e-12
 
     def test_q3_q4_at_1_5(self):
         for q in (3, 4):
             rep = verify_six_relations(1.5, q)
-            assert rep.max_residual <= 1e-9, rep.residuals
+            assert rep.max_residual <= 1e-12, rep.residuals
 
     def test_q1_collapses(self):
         assert verify_six_relations(2.0, 1).max_residual <= 1e-12
@@ -205,24 +223,39 @@ class TestSixRelations:
             assert len(calls) == want and len(set(calls)) == want, calls
 
     def test_zeta_series_summed_once(self):
-        # zeta(sigma) is asked for once per principal character and once
-        # for Li at r = q: 4 requests at q = 4, 3 at q = 3, one sum each
-        zeta = identities._zeta_series_direct
-        for q, requests in ((4, 4), (3, 3)):
-            zeta.cache_clear()
-            verify_six_relations(2.5, q)
-            info = zeta.cache_info()
-            assert (info.misses, info.hits) == (1, requests - 1), info
+        # zeta(sigma) is Li at r = q: the fsum of the class sums mod q that
+        # the other Li of modulus q already raised, with no pass of its own
+        sums = identities._residue_sums
+        for q in (1, 3, 4):
+            sums.cache_clear()
+            polylog_series(2.5, 1, q)
+            zeta = polylog_series(2.5, q, q)
+            info = sums.cache_info()
+            assert (info.misses, info.hits) == (1, 1), info
+            assert zeta == complex(math.fsum(sums(2.5, q)), 0.0)
+            assert zeta.real == pytest.approx(1.341487257250917, abs=1e-14)
 
     def test_class_sums_summed_once(self):
-        # the class sums mod q serve the non-principal character and every
-        # Li with q not dividing r: 1 + 3 requests at q = 4, 1 + 2 at q = 3
+        # one n^{-sigma} pass per modulus read: the characters of the levels
+        # q/g read mod 4, 2 and 1 at q = 4 (mod 3 and 1 at q = 3), and the
+        # four (three) Li read mod q again
         sums = identities._residue_sums
-        for q, requests in ((4, 4), (3, 3)):
+        for q, misses, requests in ((4, 3, 8), (3, 2, 6)):
             sums.cache_clear()
             verify_six_relations(2.5, q)
             info = sums.cache_info()
-            assert (info.misses, info.hits) == (1, requests - 1), info
+            assert (info.misses, info.hits) == (misses, requests - misses), info
+
+    def test_peak_memory(self):
+        # 4096 terms: one 32 KB vector of n^{-sigma} at a time
+        identities._residue_sums.cache_clear()
+        tracemalloc.start()
+        try:
+            verify_six_relations(1.2345, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
 
     def test_unsupported(self):
         with pytest.raises(DomainError):

@@ -63,8 +63,12 @@ samples of G or G_z; per exp-sinh level on [1, inf), the weights, log x,
 a x and tail denominator; and z^n over the first series chunk, which holds
 the smallest number of terms (at most 2048) whose tail bound at sigma = -1
 meets tol.
-quadrature's level loop asks for a level by its number, and the object
-builds that level's arrays from quadrature's node tables on first request.
+quadrature's level loop asks for levels by number, and the object builds
+their arrays from quadrature's node tables on first request, one build
+path per rule (_mid_levels, _tail_levels): the levels of a request not
+kept yet are sampled in one kernel call on their joined nodes and kept as
+per-level views, and one level, the scalar route's request, is sampled as
+it is.  A level's samples are the same bits however it was built.
 
 One body, _Cell.integral, computes what depends on sigma, for one float
 sigma or for an array of sigma of one sign: the domain and conditioning
@@ -72,17 +76,20 @@ checks, Gamma(sigma), the head terms, the closed forms, the value with its
 estimate and the finiteness rule are one expression each, applied to a
 float or to the array.  Only the level sums are two.  For one sigma,
 _mid_sum and _tail_sum weight x^{sigma-1} and the exp-sinh exponential
-against the kept samples and quadrature's level loop runs once; for many,
-_mid_sums and _tail_sums form (sigma x nodes) matrices, in blocks of a
-bounded size, and the level loop runs every sigma as a column that stops at
-its own level.  They stay two because the column loop's numpy dispatch
-does not pay for one sigma: on a 2-core host a batch of one costs
-260-300 us against 70-110 us for a warm scalar call (a = 0.1, z in {1,
--1, 0.95}), and single sigma sent through the column loop made fresh
-evaluate calls 10-50 % slower.  The expressions and their order do not
-depend on what the object holds, so a reused object returns the bits of a
-fresh one.  evaluate, phi_series and phi_integral build one object and
-call it once.
+against the kept samples and quadrature's level loop runs once, one level
+at a time; for many, the level loop runs every sigma as a column that
+stops at its own level, and asks first for levels 0-3 together, which no
+column can stop before.  _mid_sums and _tail_sums form one (sigma x nodes)
+matrix of exponentials over the joined nodes of a request, in blocks of a
+bounded size, and reduce it per level; so a z = 1 cell calls kernel_G,
+and with it h_series_coeffs, once for levels 0-3 and once per deeper
+level.  They stay two because the column loop's numpy dispatch does not
+pay for one sigma: on a 2-core host a batch of one costs 230-260 us
+against 70-95 us for a warm scalar call (a = 0.1, z in {1, -1, 0.95}),
+and single sigma sent through the column loop made fresh evaluate calls
+10-50 % slower.  The expressions and their order do not depend on what the
+object holds, so a reused object returns the bits of a fresh one.
+evaluate, phi_series and phi_integral build one object and call it once.
 
 _Cell.batch takes many sigma of (-1, 0) through the array form of that
 body, or of the series' first chunk as a (sigma x terms) matrix where the
@@ -244,12 +251,14 @@ def hurwitz_em(sigma: float, a: float) -> EvalResult:
 # --------------------------------------------------------------------------
 
 def _dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v for a real matrix m and a real or complex v of shape (nodes,)
-    or (nodes, k), by einsum: numpy's mixed real-complex matmul is two
-    orders of magnitude slower, and BLAS buffers would add to peak memory."""
+    """The product of a real matrix m of shape (rows, nodes) with a real or
+    complex v of shape (nodes,) or (k, nodes), as (rows,) or (k, rows), by
+    einsum: numpy's mixed real-complex matmul is two orders of magnitude
+    slower, and BLAS buffers would add to peak memory.  With the nodes last
+    in v, einsum runs its inner loop along them in both operands."""
     if np.iscomplexobj(v):
         return _dot(m, v.real) + 1j * _dot(m, v.imag)
-    return np.einsum("ij,j...->i...", m, v)
+    return np.einsum("ij,...j->...i", m, v)
 
 
 def _exp_rows(p: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -257,14 +266,44 @@ def _exp_rows(p: np.ndarray, u: np.ndarray, v: np.ndarray,
     """sum_j exp(p_i u_j - q_j) v_j for every row i: the (rows x nodes)
     matrix of exponentials reduced by _dot, built in blocks of at most
     _TILE entries, so the working set grows with neither the rows nor the
-    level.  v is (nodes,) or (nodes, m), real or complex."""
+    level.  v is (nodes,) or (k, nodes), real or complex, and the result
+    (rows,) or (k, rows)."""
     out = 0.0
     step = max(1, _TILE // p.size)
     for j in range(0, u.size, step):
         e = np.multiply.outer(p, u[j:j + step])
         if q is not None:
             e -= q[j:j + step]
-        out = out + _dot(np.exp(e, out=e), v[j:j + step])
+        out = out + _dot(np.exp(e, out=e), v[..., j:j + step])
+    return out
+
+
+def _cuts(tables: list[tuple]) -> list[slice]:
+    """The slice of each level's nodes in the joined nodes of the levels,
+    for per-level tuples whose first array has one entry per node."""
+    cuts, start = [], 0
+    for table in tables:
+        cuts.append(slice(start, start + table[0].size))
+        start += table[0].size
+    return cuts
+
+
+def _join(parts: list[tuple]) -> tuple:
+    """Per-level tuples of arrays joined field by field over the levels."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(field) for field in zip(*parts))
+
+
+def _by_level(v: np.ndarray, cuts: list[slice]) -> np.ndarray:
+    """The (levels, nodes) matrix whose row l holds the nodes cuts[l] of
+    the joined v and 0 elsewhere: a product with it sums each level
+    apart."""
+    if len(cuts) == 1:
+        return v[None]
+    out = np.zeros((len(cuts), v.size), v.dtype)
+    for row, cut in enumerate(cuts):
+        out[row, cut] = v[cut]
     return out
 
 
@@ -367,8 +406,8 @@ class _Cell:
         bound = self._tail_bound(-1.0, na.size)   # >= the bound of each sigma
         if not bound <= self.tol:
             return [None] * sig.size
-        v = np.stack((zn.real, zn.imag, np.abs(zn)), axis=-1)
-        re, im, mag = _exp_rows(-sig, np.log(na), v).T
+        v = np.stack((zn.real, zn.imag, np.abs(zn)))
+        re, im, mag = _exp_rows(-sig, np.log(na), v)
         err = bound + 8.0 * _EPS * mag
         return [EvalResult(complex(r, i), e, Method.SERIES)
                 for r, i, e in zip(re.tolist(), im.tolist(), err.tolist())]
@@ -385,47 +424,88 @@ class _Cell:
         delta = min(_HEAD_DELTA, 0.35 * abs(np.log(complex(self.z))))
         return gz_taylor_coeffs(self.a, self.z), delta
 
+    def _kernel(self, x: np.ndarray) -> np.ndarray:
+        """G (z = 1) or G_z at the nodes x in (0, 1)."""
+        return (kernel_G(self.a, x) if self.z == 1
+                else _gz_near(self.a, self._zz, x))
+
+    def _tail_factors(self, offset: np.ndarray) -> tuple:
+        """log x, a x and the tail denominator at x = 1 + offset."""
+        x = _SPLIT + offset
+        den = -np.expm1(-x) if self.z == 1 else 1.0 - self._zz * np.exp(-x)
+        return np.log(x), self.a * x, den
+
     def _mid_level(self, level: int) -> tuple:
-        """x, w and the samples k of G (z = 1) or G_z of tanh-sinh level
-        `level` on [delta, 1], kept per level."""
-        if level not in self._mid:
-            x, w = _ts_table(self._head[1], _SPLIT, level)
-            k = (kernel_G(self.a, x) if self.z == 1
-                 else _gz_near(self.a, self._zz, x))
-            self._mid[level] = x, w, k
-        return self._mid[level]
+        """x, w and the kernel samples of tanh-sinh level `level` on
+        [delta, 1], built and kept: the scalar route's request, and the
+        one-level branch of _mid_levels."""
+        x, w = _ts_table(self._head[1], _SPLIT, level)
+        self._mid[level] = kept = x, w, self._kernel(x)
+        return kept
 
     def _tail_level(self, level: int) -> tuple:
-        """w, log x, a x and the tail denominator of exp-sinh level `level`
-        on [1, inf), kept per level."""
-        if level not in self._tail:
-            offset, w = _es_level_nodes(level)
-            x = _SPLIT + offset
-            den = -np.expm1(-x) if self.z == 1 else 1.0 - self._zz * np.exp(-x)
-            self._tail[level] = w, np.log(x), self.a * x, den
-        return self._tail[level]
+        """w and the _tail_factors of exp-sinh level `level` on [1, inf),
+        built and kept as in _mid_level."""
+        offset, w = _es_level_nodes(level)
+        self._tail[level] = kept = w, *self._tail_factors(offset)
+        return kept
+
+    def _mid_levels(self, levels: range) -> list[tuple]:
+        """_mid_level for each level of levels.  The levels not kept yet
+        are sampled in one kernel call on their joined nodes and kept as
+        per-level views, with the bits _mid_level gives; a single one
+        takes _mid_level itself."""
+        missing = [level for level in levels if level not in self._mid]
+        if len(missing) == 1:
+            self._mid_level(missing[0])
+        elif missing:
+            tables = [_ts_table(self._head[1], _SPLIT, level) for level in missing]
+            k = self._kernel(np.concatenate([x for x, _ in tables]))
+            for level, (x, w), cut in zip(missing, tables, _cuts(tables)):
+                self._mid[level] = x, w, k[cut]
+        return [self._mid[level] for level in levels]
+
+    def _tail_levels(self, levels: range) -> list[tuple]:
+        """_tail_level for each level of levels, the missing ones in one
+        pass as in _mid_levels."""
+        missing = [level for level in levels if level not in self._tail]
+        if len(missing) == 1:
+            self._tail_level(missing[0])
+        elif missing:
+            tables = [_es_level_nodes(level) for level in missing]
+            factors = self._tail_factors(np.concatenate([o for o, _ in tables]))
+            for level, (_, w), cut in zip(missing, tables, _cuts(tables)):
+                self._tail[level] = w, *(f[cut] for f in factors)
+        return [self._tail[level] for level in levels]
 
     def _mid_sum(self, sigma: float, level: int) -> tuple[complex, int]:
         """A tanh-sinh level on [delta, 1]: only x^{sigma-1} is new."""
-        x, w, k = self._mid_level(level)
+        x, w, k = self._mid.get(level) or self._mid_level(level)
         return (k * x ** (sigma - 1.0) * w).sum(), x.size
 
     def _tail_sum(self, sigma: float, level: int) -> tuple[complex, int]:
         """An exp-sinh level on [1, inf): only the exponential is new."""
-        w, log_x, ax, den = self._tail_level(level)
+        w, log_x, ax, den = self._tail.get(level) or self._tail_level(level)
         return (np.exp((sigma - 1.0) * log_x - ax) / den * w).sum(), w.size
 
-    def _mid_sums(self, sig: np.ndarray, level: int,
+    def _mid_sums(self, sig: np.ndarray, levels: range,
                   cols: np.ndarray) -> tuple[np.ndarray, int]:
-        """_mid_sum for the columns cols of the array sig."""
-        x, w, k = self._mid_level(level)
-        return _exp_rows(sig[cols] - 1.0, np.log(x), k * w), x.size
+        """_mid_sum for the columns cols of the array sig at each level of
+        levels, as a (levels x cols) array: one exponential over the
+        joined nodes of the levels, reduced per level."""
+        parts = self._mid_levels(levels)
+        x, w, k = _join(parts)
+        kw = _by_level(k * w, _cuts(parts))
+        return _exp_rows(sig[cols] - 1.0, np.log(x), kw), x.size
 
-    def _tail_sums(self, sig: np.ndarray, level: int,
+    def _tail_sums(self, sig: np.ndarray, levels: range,
                    cols: np.ndarray) -> tuple[np.ndarray, int]:
-        """_tail_sum for the columns cols of the array sig."""
-        w, log_x, ax, den = self._tail_level(level)
-        return _exp_rows(sig[cols] - 1.0, log_x, w / den, ax), w.size
+        """_tail_sum for the columns cols of the array sig at each level of
+        levels, as a (levels x cols) array, in the form of _mid_sums."""
+        parts = self._tail_levels(levels)
+        w, log_x, ax, den = _join(parts)
+        wd = _by_level(w / den, _cuts(parts))
+        return _exp_rows(sig[cols] - 1.0, log_x, wd, ax), w.size
 
     def integral(self, sigma: float | np.ndarray
                  ) -> EvalResult | list[EvalResult | None]:

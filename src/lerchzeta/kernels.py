@@ -68,6 +68,12 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+def _finite_positive(xa: np.ndarray) -> bool:
+    """Every entry of xa in (0, inf): two reductions, min and max, which
+    propagate NaN; an empty array passes."""
+    return bool(0.0 < xa.min(initial=1.0) and xa.max(initial=1.0) < math.inf)
+
+
 def h_series_coeffs(a: float) -> np.ndarray:
     """Coefficients B_n(1-a)/n! of the series H(a,x) = sum c_n x^{n-1},
     n = 1..30."""
@@ -82,8 +88,8 @@ def _h_or_g(a: float, x, g: bool):
     the direct formula e^{-ax}/(1 - e^{-x}) - 1/x, less 1/2 - a for G."""
     a = _check_a(a)
     xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise DomainError(f"kernel_{'G' if g else 'H'} requires x > 0")
+    if not _finite_positive(xa):
+        raise DomainError(f"kernel_{'G' if g else 'H'} requires finite x > 0")
     out = np.empty_like(xa)
     small = xa < _SERIES_CROSSOVER
     if small.any():
@@ -102,7 +108,7 @@ def _h_or_g(a: float, x, g: bool):
 
 
 def kernel_H(a: float, x):
-    """H(a,x) for x > 0, absolute error <= 1e-14 on (0, 50].
+    """H(a,x) for finite x > 0, absolute error <= 1e-14 on (0, 50].
 
     Uses the Bernoulli series below x = 0.5 and the direct formula above.
     """
@@ -144,8 +150,8 @@ def kernel_Gz(a: float, z: complex, x):
         raise WrongPathError("kernel_Gz requires z != 1; use kernel_G for z = 1")
     zz: complex | float = z.real if z.imag == 0.0 else z
     xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise DomainError("kernel_Gz requires x > 0")
+    if not _finite_positive(xa):
+        raise DomainError("kernel_Gz requires finite x > 0")
     dtype = float if isinstance(zz, float) else complex
     out = np.empty(xa.shape, dtype=dtype)
     small = xa < 1.0

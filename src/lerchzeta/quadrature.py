@@ -11,7 +11,9 @@ Each rule is a node table per level (_ts_table, _es_level_nodes) and the
 level loop _refine, which asks for the weighted sum of a level by number; a
 caller with many integrands on one interval keeps per-level arrays of its own,
 and _refine can run such integrands side by side, each column stopping at
-its own level.
+its own level.  No level before the third can stop the loop, so the column
+form asks for levels 0 to 3 in one request and the caller can sample and sum
+them as one block; from there it asks one level at a time.
 
 Integrands are called with a numpy array of abscissas and must return an
 array (real or complex).  Endpoint singularities are never evaluated: the
@@ -39,6 +41,7 @@ _EPS = float(np.finfo(float).eps)
 _TS_TMAX = 4.0
 _ES_TNEG = 4.0
 _ES_TPOS = 4.5
+_FIRST_TEST = 3     # the level of the first level-difference test
 
 
 @dataclass(frozen=True)
@@ -110,12 +113,17 @@ def _refine(level_sum: Callable[..., tuple], scale: float, tol: float,
     """The level loop both rules share.  level_sum(level) returns the
     weighted integrand sum over the new nodes of that level and their count;
     the estimate at step h = 2^-level is scale * h times the running sum.
+    The first test of the level difference is at level _FIRST_TEST.
 
     With width, there are that many integrands side by side, one per column:
-    level_sum(level, cols) returns the sums of the columns cols (an index
-    array) as an array, each column stops at the first level at which it
-    would stop alone, and the loop ends when every column has stopped.  The
-    result's value and err are then arrays over the columns, and levels
+    level_sum(levels, cols) returns the sums of the columns cols (an index
+    array) at each level of the range levels, as a (levels x cols) array,
+    and the count of their nodes.  The first request is the prefix, levels
+    0 to _FIRST_TEST, which every column sums; from there one level at a
+    time.  The running sums add the levels one by one in order, so each
+    column stops at the first level at which it would stop alone, with its
+    value and estimate, and the loop ends when every column has stopped.
+    The result's value and err are then arrays over the columns, and levels
     and evals are those of the column that ran deepest."""
     if width is not None:
         return _refine_columns(level_sum, scale, tol, max_levels, width)
@@ -130,7 +138,7 @@ def _refine(level_sum: Callable[..., tuple], scale: float, tol: float,
         running = running + total
         evals += count
         value = running * (2.0 ** (-level) * scale)
-        if prev is not None and level >= 3:
+        if prev is not None and level >= _FIRST_TEST:
             err = abs(value - prev)
             if err <= tol:
                 break
@@ -147,20 +155,27 @@ def _refine_columns(level_sum, scale, tol, max_levels, width) -> QuadResult:
     err = np.full(width, math.inf)
     cols = np.arange(width)
     evals = 0
-    level = 0
-    for level in range(max_levels + 1):
-        total, count = level_sum(level, cols)
-        running[cols] += total
+    lo, hi = 0, min(_FIRST_TEST, max_levels)
+    while True:
+        totals, count = level_sum(range(lo, hi + 1), cols)
         evals += count
-        prev = value[cols]
-        value[cols] = running[cols] * (2.0 ** (-level) * scale)
-        if level >= 3:
-            err[cols] = np.abs(value[cols] - prev)
+        # the running sums add the levels one by one, as each column's own
+        # loop does; only the last two estimates are kept
+        run = running[cols]
+        for total in totals[:-1]:
+            run += total
+        prev = run * (2.0 ** (1 - hi) * scale) if hi > lo else value[cols]
+        run += totals[-1]
+        running[cols] = run
+        value[cols] = cur = run * (2.0 ** (-hi) * scale)
+        if hi >= _FIRST_TEST:
+            err[cols] = np.abs(cur - prev)
             cols = cols[~(err[cols] <= tol)]
-            if cols.size == 0:
-                break
+        if cols.size == 0 or hi == max_levels:
+            break
+        lo = hi = hi + 1
     err = np.maximum(err, 4.0 * _EPS * np.abs(value))
-    return QuadResult(value=value, err=err, levels=level, evals=evals)
+    return QuadResult(value=value, err=err, levels=hi, evals=evals)
 
 
 def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

@@ -56,15 +56,18 @@ def bernoulli_poly(n: int, x: float) -> float:
     """Evaluate the n-th Bernoulli polynomial B_n(x) by Horner's rule.
 
     Relative error <= 1e-13 for |x| <= 2 and n <= 32.  Raises
-    DegreeOverflowError for n beyond the table.  The table satisfies
-    B_n(0) = B_n(1) for n >= 2, d/dx B_n = n B_{n-1} and
-    B_n(1-x) = (-1)^n B_n(x); the test suite checks all three.
+    DegreeOverflowError for n beyond the table and DomainError for x not
+    finite.  The table satisfies B_n(0) = B_n(1) for n >= 2,
+    d/dx B_n = n B_{n-1} and B_n(1-x) = (-1)^n B_n(x); the test suite
+    checks all three.
     """
     if n < 0:
         raise DomainError("polynomial degree must be >= 0")
     if n > MAX_DEGREE:
         raise DegreeOverflowError(f"B_{n} exceeds table degree {MAX_DEGREE}")
     x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"bernoulli_poly requires finite x, got {x}")
     c = _COEFFS[n]
     v = 0.0
     for k in range(n, -1, -1):
@@ -85,9 +88,12 @@ def gamma_real(sigma: float) -> float:
     On (-1,0) the value is computed through the recurrence
     Gamma(sigma) = Gamma(sigma+1)/sigma, which keeps full accuracy next to
     the pole at 0 and makes the negativity of Gamma on (-1,0) explicit.
-    Past sigma ~ 171.6 Gamma exceeds the binary64 range: DomainError.
+    Past sigma ~ 171.6 Gamma exceeds the binary64 range, and sigma not
+    finite is outside the domain: DomainError.
     """
     sigma = float(sigma)
+    if not math.isfinite(sigma):
+        raise DomainError(f"gamma_real requires finite sigma, got {sigma}")
     if sigma <= -1.0 or sigma == 0.0:
         raise PoleError(f"gamma_real requires sigma in (-1,0) u (0,inf), got {sigma}")
     if sigma < 0.0:

@@ -27,10 +27,13 @@ Each scan_zeros cell and each check_case3 call evaluates through one
 per-(a, z) object of the evaluate module, so the coefficient tables, the
 kernel samples and the series powers of its (a, z) are built once for all
 its sigma.  The proxy's nodes of a cell, and the nine sigma of
-check_case3, go through that object's vector call in one pass; those
-values agree with a fresh evaluate per sigma within the error estimates,
-not bit for bit.  The polish and the residuals evaluate one sigma at a
-time through the scalar call, which gives the bits of a fresh evaluate.
+check_case3, go through that object's vector call in one pass, which
+samples the quadrature levels 0-3 in one kernel call and sums them as one
+block before it goes on level by level; those values agree with a fresh
+evaluate per sigma within the error estimates, not bit for bit.  The
+polish and the residuals evaluate one sigma at a time through the scalar
+call, which finds the levels the vector call kept and gives the bits of a
+fresh evaluate.
 """
 from __future__ import annotations
 

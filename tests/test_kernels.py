@@ -15,6 +15,11 @@ B2M = (3.0 - math.sqrt(3.0)) / 6.0
 B2P = (3.0 + math.sqrt(3.0)) / 6.0
 
 
+# x that is not finite, as a float and inside an array of valid x
+NON_FINITE_X = [bad for v in (math.nan, math.inf, -math.inf)
+                for bad in (v, np.array([0.25, v, 2.0]))]
+
+
 class TestKernelH:
     def test_limit_at_zero(self):
         # H(a, 0+) = 1/2 - a
@@ -68,6 +73,11 @@ class TestKernelH:
         with pytest.raises(DomainError):
             kernel_H(1.5, 1.0)
 
+    @pytest.mark.parametrize("x", NON_FINITE_X)
+    def test_non_finite_x(self, x):
+        with pytest.raises(DomainError):
+            kernel_H(0.4, x)
+
     def test_array_input(self):
         xs = np.array([0.1, 1.0, 10.0])
         out = kernel_H(0.4, xs)
@@ -76,6 +86,11 @@ class TestKernelH:
 
 
 class TestKernelG:
+    @pytest.mark.parametrize("x", NON_FINITE_X)
+    def test_non_finite_x(self, x):
+        with pytest.raises(DomainError):
+            kernel_G(0.3, x)
+
     def test_quadratic_vanishing_at_b2_root(self):
         # at a = b2^- the linear term B_2(a) x/2 vanishes: G = O(x^2)
         for x in (1e-4, 1e-3, 1e-2):
@@ -103,6 +118,11 @@ class TestKernelG:
 
 
 class TestKernelGz:
+    @pytest.mark.parametrize("x", NON_FINITE_X)
+    def test_non_finite_x(self, x):
+        with pytest.raises(DomainError):
+            kernel_Gz(0.3, -1.0, x)
+
     def test_limit_zero(self):
         for a, z in ((0.3, -1.0 + 0j), (1.0, 1j), (0.7, 0.5 + 0j)):
             assert abs(kernel_Gz(a, z, 1e-10)) <= 1e-9

@@ -103,8 +103,8 @@ class TestRefine:
     def test_columns_stop_at_their_own_level(self):
         # integrands side by side, the estimate at level L being 1 + r^L for
         # column rate r: each column keeps the value and estimate of its
-        # scalar loop, and deeper levels are summed only for the columns
-        # still refining
+        # scalar loop, levels 0-3 come in one request, and deeper levels
+        # are summed only for the columns still refining
         rates = np.array([0.9, 0.3, 0.1, 0.0])
 
         def total(rate, level):
@@ -114,16 +114,33 @@ class TestRefine:
 
         asked = []
 
-        def level_sum(level, cols):
-            asked.append(cols.tolist())
-            return np.array([total(r, level) for r in rates[cols]]), 1
+        def level_sum(levels, cols):
+            asked.append((list(levels), cols.tolist()))
+            return np.array([[total(r, lv) for r in rates[cols]]
+                             for lv in levels]), 1
 
         res = _refine(level_sum, 1.0, 1e-4, 11, rates.size)
         alone = [_refine(lambda level: (total(r, level), 1), 1.0, 1e-4, 11)
                  for r in rates]
         assert [a.levels for a in alone] == [11, 9, 5, 3]
+        assert asked[0] == ([0, 1, 2, 3], [0, 1, 2, 3])
+        assert all(len(levels) == 1 for levels, _ in asked[1:])
         for col, one in enumerate(alone):
             assert res.value[col] == one.value
             assert res.err[col] == one.err
-            assert sum(col in c for c in asked) == one.levels + 1
-        assert res.levels == len(asked) - 1 == 11
+            summed = [lv for levels, cols in asked if col in cols
+                      for lv in levels]
+            assert summed == list(range(one.levels + 1))
+        assert res.levels == 11 and len(asked) == 1 + 11 - 3
+
+    def test_prefix_capped_by_max_levels(self):
+        # a cap below the first test level: one request, no test, err inf
+        asked = []
+
+        def level_sum(levels, cols):
+            asked.append(list(levels))
+            return np.ones((len(levels), cols.size)), 1
+
+        res = _refine(level_sum, 1.0, 1.0, 2, 3)
+        assert asked == [[0, 1, 2]] and res.levels == 2
+        assert np.all(res.err == np.inf)

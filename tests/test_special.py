@@ -91,6 +91,11 @@ class TestBernoulli:
                 rhs = n * cm[k]
                 assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x(self, x):
+        with pytest.raises(DomainError):
+            bernoulli_poly(3, x)
+
     def test_degree_overflow(self):
         with pytest.raises(DegreeOverflowError):
             bernoulli_poly(33, 0.5)
@@ -121,6 +126,11 @@ class TestGammaReal:
         for bad in (0.0, -1.0, -2.5):
             with pytest.raises(PoleError):
                 gamma_real(bad)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(DomainError):
+            gamma_real(sigma)
 
 
 class TestComplexPow:

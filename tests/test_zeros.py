@@ -108,11 +108,12 @@ class TestScanZeros:
 
     def test_coefficients_built_once_per_cell(self, monkeypatch):
         # one per-(a, z) object per cell: the head table once, and at z = 1
-        # one more h_series_coeffs per tanh-sinh level that kernel_G samples
+        # one more h_series_coeffs per kernel_G call, which samples the
+        # tanh-sinh levels 0-3 in one call and each deeper level in its own
         evaluate_mod = importlib.import_module("lerchzeta.evaluate")
         kernels = importlib.import_module("lerchzeta.kernels")
         calls = Counter()
-        for name in ("h_series_coeffs", "gz_taylor_coeffs"):
+        for name in ("h_series_coeffs", "gz_taylor_coeffs", "_gz_near"):
             def counted(*args, _fn=getattr(kernels, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
@@ -129,18 +130,24 @@ class TestScanZeros:
             for mod in (evaluate_mod, quadrature):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted_level)
+
+        def past_prefix():   # tanh-sinh levels sampled one by one
+            return max(levels["_ts_level_nodes"]) - 3
+
         scan_zeros(0.1, 1.0)
-        assert 1 <= calls["h_series_coeffs"] <= 1 + evaluate_mod._MAX_LEVELS + 1
-        assert calls["gz_taylor_coeffs"] == 0
-        # one tanh-sinh table per (sign of sigma, level), one exp-sinh table
-        # per level
-        for name, per_level in (("_ts_level_nodes", 2), ("_es_level_nodes", 1)):
+        assert past_prefix() >= 0
+        assert calls == Counter(h_series_coeffs=1 + 1 + past_prefix())
+        # one tanh-sinh table and one exp-sinh table per level
+        for name in levels:
             seen = levels[name]
             assert sorted(seen) == list(range(len(seen))) != [], seen
-            assert max(seen.values()) <= per_level, seen
+            assert max(seen.values()) == 1, seen
         calls.clear()
+        for seen in levels.values():
+            seen.clear()
         scan_zeros(0.1, -1.0)
-        assert calls == Counter(gz_taylor_coeffs=1)
+        assert past_prefix() >= 0
+        assert calls == Counter(gz_taylor_coeffs=1, _gz_near=1 + past_prefix())
 
     def test_call_budget(self, monkeypatch):
         # the proxy's nodes take at most two vector calls (degree 16, then

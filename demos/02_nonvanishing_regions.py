@@ -7,7 +7,8 @@ Non-vanishing holds exactly on
 and everywhere else a real zero exists.  The scanner double-checks the
 classifier: it scans the sign of a Chebyshev proxy of sigma -> Phi on
 [-1, 0], anchored by the exact closed forms at sigma = 0 and sigma = -1,
-and polishes each crossing by bisection on Phi itself.
+and checks each crossing on Phi itself: a sign change of Phi within
+tol/2 of it, or else bisection on Phi.
 """
 import numpy as np
 

@@ -18,9 +18,11 @@ or "unit:<theta>" for e^{i theta}; eval's --z defaults to 1, and the scan's
 --z additionally accepts a comma-separated list of reals.  --tol (default
 1e-10, must be positive) is the absolute accuracy target; the scan's --tol
 is one tolerance for the values and the roots: each value is evaluated to
-it and each root is bisected on Phi to a bracket narrower than it.  A scan
+it and each root lies in a sign change of Phi narrower than it.  A scan
 refuses an empty z list, or any z that classify refuses, before its first
-cell.  Exit codes: 0 success, 1 check failure, 2 usage or domain error.
+cell; it opens --out once, before its first cell, and writes it after its
+last, so a failed scan leaves --out as it was.  Exit codes: 0 success,
+1 check failure, 2 usage or domain error.
 `--method integral` runs phi_integral, the Mellin integral, for the given
 sigma and z; `fe` and `em` have fixed truncations and ignore --tol.
 Diagnostics go to stderr.
@@ -135,20 +137,24 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         a += args.a_step
     cells = sorted(((a, z) for a in a_values for z in z_list),
                    key=lambda cell: (cell[0], cell[1].real, cell[1].imag))
-    # check --out before the first cell, so a bad path costs no scan, and
+    # open --out before the first cell, so a bad path costs no scan, and
     # write it after the last, so a failed scan leaves it as it was
     existed = os.path.exists(args.out)
     try:
-        open(args.out, "a").close()
+        fh = open(args.out, "a")
     except OSError as exc:
         raise LerchZetaError(f"cannot write {args.out}: {exc}") from exc
-    if not existed:
-        os.remove(args.out)
-    rows = [_scan_cell(a, z, args.tol) for a, z in cells]
-    with open(args.out, "w") as fh:
-        fh.write(_SCAN_HEADER + "\n")
-        for line in rows:
-            fh.write(line + "\n")
+    with fh:
+        try:
+            rows = [_scan_cell(a, z, args.tol) for a, z in cells]
+        except BaseException:
+            fh.close()
+            if not existed:
+                os.remove(args.out)
+            raise
+        if os.fstat(fh.fileno()).st_size:   # not for /dev/null or a pipe
+            fh.truncate(0)
+        fh.write("".join(line + "\n" for line in [_SCAN_HEADER, *rows]))
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return 0
 

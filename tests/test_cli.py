@@ -236,6 +236,59 @@ class TestScan:
         assert not missing.exists()
         assert existing.read_bytes() == b"a,z_re\nold rows\n"
 
+    @staticmethod
+    def _fail_second_cell(monkeypatch):
+        # the first cell is scanned, the second raises
+        scanned = []
+
+        def refuse_second(*args, **kwargs):
+            scanned.append(args)
+            if len(scanned) == 2:
+                raise ConditioningError("refused second cell")
+            return scan_zeros(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "scan_zeros", refuse_second)
+        return ["scan", "--a-min", "0.1", "--a-max", "0.1", "--a-step", "1",
+                "--z=1,-1", "--tol", "1e-8"]
+
+    def test_failed_scan_keeps_existing_out(self, capsys, monkeypatch,
+                                            tmp_path):
+        out = tmp_path / "existing.csv"
+        old = b"a,z_re\nold rows\n" * 50
+        out.write_bytes(old)
+        argv = self._fail_second_cell(monkeypatch)
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "refused second cell" in capsys.readouterr().err
+        assert out.read_bytes() == old
+
+    def test_failed_scan_leaves_no_new_out(self, capsys, monkeypatch,
+                                           tmp_path):
+        out = tmp_path / "new.csv"
+        argv = self._fail_second_cell(monkeypatch)
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "refused second cell" in capsys.readouterr().err
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_opened_once(self, capsys, monkeypatch, tmp_path):
+        # one open of --out per scan, and a longer old file is replaced
+        opened = []
+
+        def counted_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counted_open, raising=False)
+        out = tmp_path / "scan.csv"
+        out.write_text("x" * 10_000 + "\n")
+        assert main(["scan", "--a-min", "0.1", "--a-max", "0.1", "--a-step",
+                     "1", "--z=1,-1", "--tol", "1e-8", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert opened == [str(out)]
+        lines = out.read_text().splitlines()
+        assert lines[0] == "a,z_re,z_im,verdict,n_brackets,roots,max_residual"
+        assert len(lines) == 3
+
 
 class TestVerify:
     def test_kernels_suite_passes(self, capsys):

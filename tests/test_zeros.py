@@ -151,8 +151,8 @@ class TestScanZeros:
 
     def test_call_budget(self, monkeypatch):
         # the proxy's nodes take at most two vector calls (degree 16, then
-        # 32 if its coefficients ask); the scalar calls are each root's
-        # polish and residual
+        # 32 if its coefficients ask); each root takes two scalar calls, at
+        # the proxy's crossing and tol/2 from it, when those bracket it
         cell_cls = importlib.import_module("lerchzeta.evaluate")._Cell
         calls = Counter()
         for name in ("__call__", "batch"):
@@ -165,7 +165,65 @@ class TestScanZeros:
             calls.clear()
             rep = scan_zeros(a, z, tol=1e-10)
             assert 1 <= calls["batch"] <= 2, (a, z, calls)
-            assert calls["__call__"] <= 12 * len(rep.roots), (a, z, calls)
+            assert calls["__call__"] == 2 * len(rep.roots), (a, z, calls)
+            for root, (lo, hi) in zip(rep.roots, rep.brackets):
+                assert root in (lo, hi) and hi - lo < 1e-10, (a, z, lo, hi)
+        # 1e-4 below boundary [II] the root sits at sigma = -0.9998 where
+        # |Phi'| is about 0.3 against error estimates of 7.5e-11: the proxy's
+        # crossing is more than tol/2 from Phi's root, and the polish falls
+        # back to the widened bracket and bisection
+        calls.clear()
+        rep = scan_zeros(1.0 / 3.0 - 1e-4, -0.5, tol=1e-10)
+        assert len(rep.roots) == 1
+        assert 2 < calls["__call__"] <= 12, calls
+
+    def test_falls_back_when_first_bracket_misses(self, monkeypatch):
+        # the vector values are 1e-6 sin(pi sigma) off the scalar ones,
+        # inside their error estimate: the proxy's crossing then sits about
+        # 1.5e-6 left of Phi's root, no sign change lies within tol/2 of it,
+        # and the root comes from the widened bracket, bisected
+        r0 = -0.41237
+
+        def phi(sigma):
+            return (sigma - r0) * math.exp(sigma)
+
+        class Offset:
+            def __init__(self, a, z, tol):
+                self.tol = tol
+
+            def __call__(self, sigma):
+                scalar_calls.append(sigma)
+                return SimpleNamespace(value=complex(phi(sigma)),
+                                       abs_err_estimate=1e-12)
+
+            def batch(self, sigmas):
+                return [SimpleNamespace(
+                            value=complex(phi(s) - 1e-6 * math.sin(math.pi * s)),
+                            abs_err_estimate=2e-6)
+                        for s in np.asarray(sigmas).tolist()]
+
+        scalar_calls = []
+        monkeypatch.setattr(zeros_mod, "_Cell", Offset)
+        monkeypatch.setattr(zeros_mod, "special_value",
+                            lambda order, a, z: complex(phi(float(order))))
+        rep = scan_zeros(0.3, 0.5, tol=1e-10)
+        assert len(rep.roots) == 1
+        (lo, hi), root = rep.brackets[0], rep.roots[0]
+        assert abs(root - r0) <= 1e-10
+        assert lo <= root <= hi and phi(lo) < 0.0 < phi(hi)
+        assert hi - lo > 1e-6     # the widened bracket, not the first one
+        assert len(scalar_calls) > 2
+
+    def test_scan_clenshaw_has_the_scalar_bits(self):
+        # the in-place sign scan repeats the scalar recurrence's operations
+        # in its order, so every one of the 2049 values has its bits
+        rng = np.random.default_rng(19)
+        for degree in (16, 32, 128):
+            c = (rng.standard_normal(degree + 1)
+                 * 0.5 ** np.arange(degree + 1)).tolist()
+            scan = zeros_mod._clenshaw_scan(c)
+            assert scan.tolist() == [zeros_mod._clenshaw(c, x)
+                                     for x in zeros_mod._SCAN_X.tolist()]
 
     def test_report_holds_plain_floats(self):
         for z in (1.0, -1.0, 0.5):

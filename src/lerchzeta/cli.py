@@ -18,11 +18,13 @@ or "unit:<theta>" for e^{i theta}; eval's --z defaults to 1, and the scan's
 --z additionally accepts a comma-separated list of reals.  --tol (default
 1e-10, must be positive) is the absolute accuracy target; the scan's --tol
 is one tolerance for the values and the roots: each value is evaluated to
-it and each root lies in a sign change of Phi narrower than it.  A scan
-refuses an empty z list, or any z that classify refuses, before its first
-cell; it opens --out once, before its first cell, and writes it after its
-last, so a failed scan leaves --out as it was.  Exit codes: 0 success,
-1 check failure, 2 usage or domain error.
+it and each root lies in a sign change of the computed Phi narrower than
+it (next to boundary [II], where |Phi'| is small, that sign change can sit
+up to about err/|Phi'| from Phi's root: about 2.5e-10 at a = 1/3 - 1e-4,
+z = -0.5).  A scan refuses an empty z list, or any z that classify
+refuses, before its first cell; it opens --out once, before its first
+cell, and writes it after its last, so a failed scan leaves --out as it
+was.  Exit codes: 0 success, 1 check failure, 2 usage or domain error.
 `--method integral` runs phi_integral, the Mellin integral, for the given
 sigma and z; `fe` and `em` have fixed truncations and ignore --tol.
 Diagnostics go to stderr.

@@ -10,8 +10,9 @@ Routes:
                              it |z| <= 0.9, sigma >= 4, and sigma >= 1.5
                              with |1 - z| < 1e-3.
   * phi_integral          -- the analytic continuation on -1 < sigma < 0
-                             and 0 < sigma (below 1 when z = 1, where the
-                             value is zeta(sigma,a)) from a Mellin integral;
+                             and 0 < sigma < 11 (below 1 when z = 1, where
+                             the value is zeta(sigma,a)) from a Mellin
+                             integral;
                              for z != 1 it serves the annulus |z| > 0.9
                              below sigma = 4.
   * special_value         -- closed forms at sigma = 0 and sigma = -1.
@@ -32,7 +33,7 @@ K = e^{(1-a)x}/(e^x - z), with one split at x = 1 for both signs of sigma:
   Gamma(sigma) Phi = int_0^1 G x^{sigma-1} dx + int_1^inf K x^{sigma-1} dx
                      + C/sigma - [z = 1]/(1 - sigma)
 
-on -1 < sigma < 0 and on 0 < sigma (below 1 when z = 1).  C is the
+on -1 < sigma < 0 and on 0 < sigma < 11 (below 1 when z = 1).  C is the
 constant term of K at x = 0, 1/2 - a at z = 1 and 1/(1-z) otherwise, and
 G, the kernel G (z = 1) or G_z of kernels.py, is K less C and less 1/x
 at z = 1.  The last two terms integrate what G drops in closed form: C
@@ -46,7 +47,8 @@ either way, and 1/x over [1, inf) gives -1/(1 - sigma).
             c_k x^{k+sigma-1}, k >= 1); the remainder [delta, 1] goes to
             tanh-sinh.
   int_1^inf K = e^{-ax}/(1 - z e^{-x}) decays exponentially and goes to
-            exp-sinh.
+            exp-sinh, whose nodes reach x ~ e^{70.7}: below sigma = 11,
+            x^{sigma-1} stays finite on all of them.
 
 The integral route adds its pieces (head, [delta, 1], [1, inf), closed
 forms) with plain sums and adds 4 eps times the sum of their magnitudes to
@@ -57,39 +59,38 @@ quadrature level.
 Reuse per (a, z): the series, integral and dispatch live on one private
 object per (a, z) and tol (_Cell), which checks a, z and tol once and keeps
 what does not depend on sigma once built: the head coefficients
-(h_series_coeffs(a) or gz_taylor_coeffs(a, z)) with delta; per tanh-sinh
-level on [delta, 1], for both signs of sigma, the nodes, weights and
-samples of G or G_z; per exp-sinh level on [1, inf), the weights, log x,
-a x and tail denominator; and z^n over the first series chunk, which holds
-the smallest number of terms (at most 2048) whose tail bound at sigma = -1
-meets tol.
-quadrature's level loop asks for levels by number, and the object builds
-their arrays from quadrature's node tables on first request, one build
-path per rule (_mid_levels, _tail_levels): the levels of a request not
-kept yet are sampled in one kernel call on their joined nodes and kept as
-per-level views, and one level, the scalar route's request, is sampled as
-it is.  A level's samples are the same bits however it was built.
+(h_series_coeffs(a) or gz_taylor_coeffs(a, z)) with delta; z^n over the
+first series chunk, which holds the smallest number of terms (at most
+2048) whose tail bound at sigma = -1 meets tol; and per level of each
+quadrature rule, for both signs of sigma, the nodes x and v = w f(x), where
+f is G or G_z for tanh-sinh on [delta, 1] and K = e^{-ax}/(1 - z e^{-x})
+for exp-sinh on [1, inf).  Both rules are then one sum, of x^{sigma-1} v
+over the nodes, and one object type (_Rule) holds either.  quadrature's
+level loop asks for levels by number, from 0 up, so a rule keeps levels
+0..n-1 and builds the missing ones of a request from quadrature's node
+tables in one path: one f call on their joined nodes, kept as per-level
+views.  A level's samples are the same bits however it was built.
 
 One body, _Cell.integral, computes what depends on sigma, for one float
 sigma or for an array of sigma of one sign: the domain and conditioning
 checks, Gamma(sigma), the head terms, the closed forms, the value with its
 estimate and the finiteness rule are one expression each, applied to a
-float or to the array.  Only the level sums are two.  For one sigma,
-_mid_sum and _tail_sum weight x^{sigma-1} and the exp-sinh exponential
-against the kept samples and quadrature's level loop runs once, one level
-at a time; for many, the level loop runs every sigma as a column that
-stops at its own level, and asks first for levels 0-3 together, which no
-column can stop before.  _mid_sums and _tail_sums form one (sigma x nodes)
-matrix of exponentials over the joined nodes of a request, in blocks of a
-bounded size, and reduce it per level; so a z = 1 cell calls kernel_G,
-and with it h_series_coeffs, once for levels 0-3 and once per deeper
-level.  They stay two because the column loop's numpy dispatch does not
-pay for one sigma: on a 2-core host a batch of one costs 230-260 us
-against 70-95 us for a warm scalar call (a = 0.1, z in {1, -1, 0.95}),
-and single sigma sent through the column loop made fresh evaluate calls
-10-50 % slower.  The expressions and their order do not depend on what the
-object holds, so a reused object returns the bits of a fresh one.
-evaluate, phi_series and phi_integral build one object and call it once.
+float or to the array.  Only the level sum is two.  For one sigma,
+_Rule.sum weights x^{sigma-1} against the kept v and quadrature's level
+loop runs once, one level at a time; for many, the level loop runs every
+sigma as a column that stops at its own level, and asks first for levels
+0-3 together, which no column can stop before.  _Rule.sums forms one
+(sigma x nodes) matrix of exponentials exp((sigma - 1) log x) over the
+joined nodes of a request, in blocks of a bounded size, and reduces it
+against v per level; so a z = 1 cell calls kernel_G, and with it
+h_series_coeffs, once for levels 0-3 and once per deeper level.  The two
+stay apart because the column loop's numpy dispatch does not pay for one
+sigma: on a 2-core host a batch of one costs 230-260 us against 70-95 us
+for a warm scalar call (a = 0.1, z in {1, -1, 0.95}), and single sigma
+sent through the column loop made fresh evaluate calls 10-50 % slower.
+The expressions and their order do not depend on what the object holds,
+so a reused object returns the bits of a fresh one.  evaluate,
+phi_series and phi_integral build one object and call it once.
 
 _Cell.batch takes many sigma of (-1, 0) through the array form of that
 body, or of the series' first chunk as a (sigma x terms) matrix where the
@@ -134,6 +135,7 @@ _EPS = float(np.finfo(float).eps)
 _SPLIT = 1.0                # int_0^inf is split here (the kernel analysis splits at 1)
 _HEAD_DELTA = 0.25          # head-series reach for the H/G kernels
 _MIN_ONE_MINUS_Z = 1e-3     # conditioning cap on the integral paths
+_INTEGRAL_TOP = 11.0        # z != 1: below it x^{sigma-1} is finite on exp-sinh nodes
 _SERIES_MAX_TERMS = 2_000_000   # term cap of phi_series
 _SERIES_CHUNK = 2048        # terms per numpy reduction in phi_series
 _SERIES_MIN_SIGMA = 4.0     # evaluate: the series for |z| > 0.9 from here
@@ -261,19 +263,16 @@ def _dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,...j->...i", m, v)
 
 
-def _exp_rows(p: np.ndarray, u: np.ndarray, v: np.ndarray,
-              q: np.ndarray | None = None) -> np.ndarray:
-    """sum_j exp(p_i u_j - q_j) v_j for every row i: the (rows x nodes)
-    matrix of exponentials reduced by _dot, built in blocks of at most
-    _TILE entries, so the working set grows with neither the rows nor the
-    level.  v is (nodes,) or (k, nodes), real or complex, and the result
-    (rows,) or (k, rows)."""
+def _exp_rows(p: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j exp(p_i u_j) v_j for every row i: the (rows x nodes) matrix of
+    exponentials reduced by _dot, built in blocks of at most _TILE entries,
+    so the working set grows with neither the rows nor the level.  v is
+    (nodes,) or (k, nodes), real or complex, and the result (rows,) or
+    (k, rows)."""
     out = 0.0
     step = max(1, _TILE // p.size)
     for j in range(0, u.size, step):
         e = np.multiply.outer(p, u[j:j + step])
-        if q is not None:
-            e -= q[j:j + step]
         out = out + _dot(np.exp(e, out=e), v[..., j:j + step])
     return out
 
@@ -307,18 +306,59 @@ def _by_level(v: np.ndarray, cuts: list[slice]) -> np.ndarray:
     return out
 
 
+class _Rule:
+    """One quadrature rule of the integral for one (a, z): table(level)
+    gives the (x, w) of a level and f the integrand.  It keeps levels
+    0..n-1 as (x, v = w f(x)), so the sum of a level at sigma is that of
+    x^{sigma-1} v, whichever the rule."""
+
+    def __init__(self, table, f):
+        self.table, self.f = table, f
+        self.kept: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def levels(self, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The kept levels, built up to level stop - 1: a table per missing
+        level, then one f call on their joined nodes, kept as per-level
+        views.  A level's samples are the same bits however it was built."""
+        kept = self.kept
+        if len(kept) < stop:
+            tables = list(map(self.table, range(len(kept), stop)))
+            x, w = _join(tables)
+            v = w * self.f(x)
+            end = 0
+            for level_x, _ in tables:
+                start, end = end, end + level_x.size
+                kept.append((x[start:end], v[start:end]))
+        return kept
+
+    def sum(self, sigma: float, level: int) -> tuple[complex, int]:
+        """The level's sum at one sigma: only x^{sigma-1} is new."""
+        x, v = self.levels(level + 1)[level]
+        return (x ** (sigma - 1.0) * v).sum(), x.size
+
+    def sums(self, sig: np.ndarray, levels: range,
+             cols: np.ndarray) -> tuple[np.ndarray, int]:
+        """sum for the columns cols of the array sig at each level of
+        levels, as a (levels x cols) array: one exponential over the
+        joined nodes of the levels, reduced per level."""
+        parts = self.levels(levels.stop)[levels.start:]
+        x, v = _join(parts)
+        return (_exp_rows(sig[cols] - 1.0, np.log(x), _by_level(v, _cuts(parts))),
+                x.size)
+
+
 class _Cell:
     """Phi(., a, z) for one (a, z) and tol, which are checked once; what
-    depends on (a, z) alone is built on first use and kept (the module
-    docstring, "Reuse per (a, z)").  Calling it is evaluate's dispatch."""
+    depends on (a, z) alone is built on first use and kept: the head, the
+    series' first chunk, and _rules, a _Rule per quadrature rule, whose
+    levels are (x, w f(x)) pairs (the module docstring, "Reuse per
+    (a, z)").  Calling it is evaluate's dispatch."""
 
     def __init__(self, a: float, z: complex, tol: float):
         self.a = _check_a(a)
         self.z = _check_z(z)
         self.tol = _check_tol(tol)
         self._zz: float | complex = self.z.real if self.z.imag == 0.0 else self.z
-        self._mid: dict[int, tuple] = {}
-        self._tail: dict[int, tuple] = {}
 
     # -- series ------------------------------------------------------------
 
@@ -424,88 +464,21 @@ class _Cell:
         delta = min(_HEAD_DELTA, 0.35 * abs(np.log(complex(self.z))))
         return gz_taylor_coeffs(self.a, self.z), delta
 
-    def _kernel(self, x: np.ndarray) -> np.ndarray:
-        """G (z = 1) or G_z at the nodes x in (0, 1)."""
-        return (kernel_G(self.a, x) if self.z == 1
-                else _gz_near(self.a, self._zz, x))
+    @functools.cached_property
+    def _rules(self) -> tuple[_Rule, _Rule]:
+        """tanh-sinh on [delta, 1] with f = G (z = 1) or G_z, and exp-sinh
+        on [1, inf) with f = K = e^{-ax}/(1 - z e^{-x}), whose denominator
+        does not cancel there, z = 1 included."""
+        a, zz, delta = self.a, self._zz, self._head[1]
 
-    def _tail_factors(self, offset: np.ndarray) -> tuple:
-        """log x, a x and the tail denominator at x = 1 + offset."""
-        x = _SPLIT + offset
-        den = -np.expm1(-x) if self.z == 1 else 1.0 - self._zz * np.exp(-x)
-        return np.log(x), self.a * x, den
+        def es_table(level: int) -> tuple[np.ndarray, np.ndarray]:
+            offset, w = _es_level_nodes(level)
+            return _SPLIT + offset, w
 
-    def _mid_level(self, level: int) -> tuple:
-        """x, w and the kernel samples of tanh-sinh level `level` on
-        [delta, 1], built and kept: the scalar route's request, and the
-        one-level branch of _mid_levels."""
-        x, w = _ts_table(self._head[1], _SPLIT, level)
-        self._mid[level] = kept = x, w, self._kernel(x)
-        return kept
-
-    def _tail_level(self, level: int) -> tuple:
-        """w and the _tail_factors of exp-sinh level `level` on [1, inf),
-        built and kept as in _mid_level."""
-        offset, w = _es_level_nodes(level)
-        self._tail[level] = kept = w, *self._tail_factors(offset)
-        return kept
-
-    def _mid_levels(self, levels: range) -> list[tuple]:
-        """_mid_level for each level of levels.  The levels not kept yet
-        are sampled in one kernel call on their joined nodes and kept as
-        per-level views, with the bits _mid_level gives; a single one
-        takes _mid_level itself."""
-        missing = [level for level in levels if level not in self._mid]
-        if len(missing) == 1:
-            self._mid_level(missing[0])
-        elif missing:
-            tables = [_ts_table(self._head[1], _SPLIT, level) for level in missing]
-            k = self._kernel(np.concatenate([x for x, _ in tables]))
-            for level, (x, w), cut in zip(missing, tables, _cuts(tables)):
-                self._mid[level] = x, w, k[cut]
-        return [self._mid[level] for level in levels]
-
-    def _tail_levels(self, levels: range) -> list[tuple]:
-        """_tail_level for each level of levels, the missing ones in one
-        pass as in _mid_levels."""
-        missing = [level for level in levels if level not in self._tail]
-        if len(missing) == 1:
-            self._tail_level(missing[0])
-        elif missing:
-            tables = [_es_level_nodes(level) for level in missing]
-            factors = self._tail_factors(np.concatenate([o for o, _ in tables]))
-            for level, (_, w), cut in zip(missing, tables, _cuts(tables)):
-                self._tail[level] = w, *(f[cut] for f in factors)
-        return [self._tail[level] for level in levels]
-
-    def _mid_sum(self, sigma: float, level: int) -> tuple[complex, int]:
-        """A tanh-sinh level on [delta, 1]: only x^{sigma-1} is new."""
-        x, w, k = self._mid.get(level) or self._mid_level(level)
-        return (k * x ** (sigma - 1.0) * w).sum(), x.size
-
-    def _tail_sum(self, sigma: float, level: int) -> tuple[complex, int]:
-        """An exp-sinh level on [1, inf): only the exponential is new."""
-        w, log_x, ax, den = self._tail.get(level) or self._tail_level(level)
-        return (np.exp((sigma - 1.0) * log_x - ax) / den * w).sum(), w.size
-
-    def _mid_sums(self, sig: np.ndarray, levels: range,
-                  cols: np.ndarray) -> tuple[np.ndarray, int]:
-        """_mid_sum for the columns cols of the array sig at each level of
-        levels, as a (levels x cols) array: one exponential over the
-        joined nodes of the levels, reduced per level."""
-        parts = self._mid_levels(levels)
-        x, w, k = _join(parts)
-        kw = _by_level(k * w, _cuts(parts))
-        return _exp_rows(sig[cols] - 1.0, np.log(x), kw), x.size
-
-    def _tail_sums(self, sig: np.ndarray, levels: range,
-                   cols: np.ndarray) -> tuple[np.ndarray, int]:
-        """_tail_sum for the columns cols of the array sig at each level of
-        levels, as a (levels x cols) array, in the form of _mid_sums."""
-        parts = self._tail_levels(levels)
-        w, log_x, ax, den = _join(parts)
-        wd = _by_level(w / den, _cuts(parts))
-        return _exp_rows(sig[cols] - 1.0, log_x, wd, ax), w.size
+        return (_Rule(lambda level: _ts_table(delta, _SPLIT, level),
+                      (lambda x: kernel_G(a, x)) if self.z == 1
+                      else lambda x: _gz_near(a, zz, x)),
+                _Rule(es_table, lambda x: np.exp(-a * x) / (1.0 - zz * np.exp(-x))))
 
     def integral(self, sigma: float | np.ndarray
                  ) -> EvalResult | list[EvalResult | None]:
@@ -517,7 +490,7 @@ class _Cell:
         a, z, s = self.a, self.z, _SPLIT
         many = isinstance(sigma, np.ndarray)
         lo, hi = (sigma.min(), sigma.max()) if many else (sigma, sigma)
-        top = 1.0 if z == 1 else math.inf
+        top = 1.0 if z == 1 else _INTEGRAL_TOP
         if not (-1.0 < lo <= hi < 0.0 or 0.0 < lo <= hi < top):
             raise DomainError(f"the integral route needs sigma in (-1,0) u "
                               f"(0,{top:g}) at z = {z}, got {sigma}")
@@ -552,13 +525,10 @@ class _Cell:
             head = np.einsum("...j,j->...", delta ** k / k, c[1:])
             # the level loops of tanh_sinh on [delta, 1] and exp_sinh on [1, inf)
             # (the only two-way step: one sigma, or the columns of many)
-            mid_sum, tail_sum, width = (
-                (self._mid_sums, self._tail_sums, sigma.size) if many
-                else (self._mid_sum, self._tail_sum, None))
-            mid = _refine(functools.partial(mid_sum, sigma),
-                          0.5 * (s - delta), qtol, _MAX_LEVELS, width)
-            tail = _refine(functools.partial(tail_sum, sigma), 1.0, qtol,
-                           _MAX_LEVELS, width)
+            mid, tail = (
+                _refine(functools.partial(rule.sums if many else rule.sum, sigma),
+                        scale, qtol, _MAX_LEVELS, sigma.size if many else None)
+                for rule, scale in zip(self._rules, (0.5 * (s - delta), 1.0)))
             value = (head + mid.value + tail.value + corr) / gam
             if z.imag == 0.0:
                 value = value.real + 0.0j
@@ -667,7 +637,7 @@ def phi_series(sigma: float, a: float, z: complex,
 def phi_integral(sigma: float, a: float, z: complex,
                  tol: float = 1e-10) -> EvalResult:
     """Phi(sigma, a, z) from Gamma(sigma) Phi = int_0^inf K(x) x^{sigma-1} dx
-    on -1 < sigma < 0 and on 0 < sigma (below 1 when z = 1).
+    on -1 < sigma < 0 and on 0 < sigma < 11 (below 1 when z = 1).
 
     For both signs the integrand on [0, 1] is G (z = 1) or G_z (z != 1):
     K = e^{(1-a)x}/(e^x - z) less 1/x for z = 1 and less the constant
@@ -677,7 +647,8 @@ def phi_integral(sigma: float, a: float, z: complex,
     module docstring.  tol is the absolute target, and the estimate is
     returned as reached: evaluate, not this route, refuses one above tol.
     0 < |1 - z| < 1e-3 is ConditioningError; a value or estimate outside
-    binary64 is DomainError.
+    binary64 is DomainError, and so is sigma >= 11, where x^{sigma-1}
+    overflows on the last exp-sinh nodes (phi_series covers sigma > 1).
     """
     sigma = float(sigma)
     return _Cell(a, z, tol).integral(sigma)

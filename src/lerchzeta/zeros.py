@@ -38,6 +38,7 @@ fresh evaluate.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -70,7 +71,6 @@ _PROXY_MAX = 128            # its cap; the degree doubles up to it
 _SCAN_X = np.linspace(-1.0, 1.0, 2049)   # the proxy's sign scan, x = 2 sigma + 1
 _SCAN_X2 = _SCAN_X + _SCAN_X
 _SCAN_SIGMAS = 0.5 * (_SCAN_X - 1.0)
-_COS_TABLES: dict[int, np.ndarray] = {}   # degree -> _cheb_table
 
 
 class Region(str, Enum):
@@ -89,6 +89,14 @@ class RegionVerdict:
     detail: str
 
 
+def _check_real_z(zr: float) -> float:
+    """zr, the real part of a real z that _check_z passed, held to [-1, 1]:
+    _check_z lets |z| exceed 1 by its rounding slack."""
+    if zr > 1.0 or zr < -1.0:
+        raise DomainError("real z must lie in [-1, 1]")
+    return zr
+
+
 def classify(a: float, z: complex) -> RegionVerdict:
     """Decide whether Phi(sigma,a,z) can vanish on (-1,0).
 
@@ -100,7 +108,7 @@ def classify(a: float, z: complex) -> RegionVerdict:
     z = _check_z(z)
     if z.imag != 0.0:
         return RegionVerdict(Region.CASE_III, "z is non-real")
-    zr = z.real
+    zr = _check_real_z(z.real)
     if zr == 1.0:
         if B2_ROOT_LOWER <= a <= 0.5:
             return RegionVerdict(Region.CASE_I, "z = 1 and a in [b-, 1/2]")
@@ -108,8 +116,6 @@ def classify(a: float, z: complex) -> RegionVerdict:
             return RegionVerdict(Region.CASE_I, "z = 1 and a in [b+, 1]")
         return RegionVerdict(Region.ZERO_EXISTS,
                              "z = 1 and a outside [b-, 1/2] u [b+, 1]")
-    if zr > 1.0 or zr < -1.0:
-        raise DomainError("real z must lie in [-1, 1]")
     prod = (1.0 - zr) * (1.0 - a)
     if prod <= 1.0:
         return RegionVerdict(Region.CASE_II,
@@ -156,17 +162,15 @@ def _bisect(f, lo: float, hi: float, sign_lo: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@functools.cache
 def _cheb_table(n: int) -> np.ndarray:
     """The (n+1) x (n+1) matrix that takes values at x_k = cos(pi k/n) to
     the Chebyshev coefficients of their degree-n interpolant (a type-I
     cosine transform with halved end terms); built once per degree."""
-    table = _COS_TABLES.get(n)
-    if table is None:
-        k = np.arange(n + 1)
-        table = np.cos(np.outer(k, k) * (np.pi / n)) * (2.0 / n)
-        table[:, [0, n]] *= 0.5
-        table[[0, n]] *= 0.5
-        _COS_TABLES[n] = table
+    k = np.arange(n + 1)
+    table = np.cos(np.outer(k, k) * (np.pi / n)) * (2.0 / n)
+    table[:, [0, n]] *= 0.5
+    table[[0, n]] *= 0.5
     return table
 
 
@@ -241,8 +245,11 @@ def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
     """Locate the real zeros of sigma -> Phi(sigma,a,z) on (-1,0).
 
     tol is one tolerance for both the values and the roots: each value
-    is evaluated to it, and each root is bisected until its bracket is
-    narrower.
+    is evaluated to it, and each root is bisected until its bracket, a
+    sign change of the computed Phi, is narrower.  Where |Phi'| is small
+    against the error estimates, as next to boundary [II], that sign
+    change can sit up to about abs_err_estimate/|Phi'| from Phi's root:
+    about 2.5e-10 at a = 1/3 - 1e-4, z = -0.5.
 
     z must be real (Phi is real-valued there); non-real z never has real
     zeros on (-1,0) and belongs to check_case3.  Phi(., a, z) is replaced
@@ -263,7 +270,7 @@ def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
     until its ends differ in sign, is bisected to tol, and Phi is
     evaluated at the midpoint for its residual.  A crossing whose bracket
     never changes sign is dropped.  The brackets reported are those
-    sign-change brackets of the true Phi; nothing is reported from p
+    sign-change brackets of the computed Phi; nothing is reported from p
     alone.
 
     E bounds |Phi - p| on [-1, 0] if the abs_err_estimates bound the true
@@ -286,10 +293,8 @@ def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
     zc = complex(z)
     if zc.imag != 0.0:
         raise WrongPathError("scan_zeros requires real z; use check_case3")
-    zr = zc.real
     _check_z(zc)
-    if zr > 1.0 or zr < -1.0:
-        raise DomainError("real z must lie in [-1, 1]")
+    zr = _check_real_z(zc.real)
 
     cell = _Cell(a, zr, tol)
     phi_m1 = special_value(-1, a, zr).real

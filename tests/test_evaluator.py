@@ -277,6 +277,19 @@ class TestPhiIntegrals:
         with pytest.raises(DomainError):
             phi_integral(200.0, 0.5, -1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_sigma_top_for_z_not_one(self):
+        # the exp-sinh nodes reach x ~ e^{70.7}: x^{sigma-1} stays finite on
+        # them below sigma = 11, where the route agrees with the series
+        for a, z in ((1.0, 0.95), (0.01, -1.0), (0.3, 1j)):
+            res = phi_integral(10.99, a, z)
+            ref = phi_series(10.99, a, z, tol=1e-30)
+            assert abs(res.value - ref.value) <= (res.abs_err_estimate
+                                                  + ref.abs_err_estimate)
+            assert res.abs_err_estimate <= 1e-13 * abs(res.value)
+            with pytest.raises(DomainError, match=r"\(0,11\)"):
+                phi_integral(11.0, a, z)
+
 
 class TestDispatcher:
     def test_series_route(self):
@@ -483,6 +496,24 @@ class TestCellReuse:
                 _hex(lambda: evaluate(s, a, z, tol)) for s in (0.0, -1.0)]
             with pytest.raises(DomainError):
                 cell.batch([-0.5, -1.5])
+
+    @pytest.mark.parametrize("z", [1.0, -1.0, 0.95, 0.5, cmath.exp(1j),
+                                   complex(0.6, 0.7)],
+                             ids=["one", "minus_one", "z0.95", "z0.5", "unit",
+                                  "z0.6+0.7i"])
+    def test_batch_built_levels_give_scalar_bits(self, z):
+        # a batch builds levels 0-3 of both rules in one kernel call on their
+        # joined nodes, a fresh scalar call one level at a time: the scalar
+        # calls that then find the batch's levels give a fresh call's bits
+        rng = np.random.default_rng(20)
+        for a in (0.1, 0.37, 0.62, 0.9):
+            cell = _EVALUATE._Cell(a, z, 1e-10)
+            cell.batch(np.linspace(-0.95, -0.05, 15))
+            sigmas = np.concatenate([rng.uniform(-1.0, 0.0, 14),
+                                     rng.uniform(0.0, 1.0, 14)])
+            for sigma in sigmas.tolist():
+                assert _hex(lambda: cell(sigma)) == _hex(
+                    lambda: evaluate(sigma, a, z)), (a, sigma)
 
     @pytest.mark.parametrize("z, a", [(1.0, 0.1), (-1.0, 0.37), (cmath.exp(1j), 0.43)],
                              ids=["one", "minus_one", "unit"])

@@ -10,9 +10,8 @@ Routes:
                              it |z| <= 0.9, sigma >= 4, and sigma >= 1.5
                              with |1 - z| < 1e-3.
   * phi_integral          -- the analytic continuation on -1 < sigma < 0
-                             and 0 < sigma < 11 (below 1 when z = 1, where
-                             the value is zeta(sigma,a)) from a Mellin
-                             integral;
+                             and 0 < sigma (below 1 when z = 1, where the
+                             value is zeta(sigma,a)) from a Mellin integral;
                              for z != 1 it serves the annulus |z| > 0.9
                              below sigma = 4.
   * special_value         -- closed forms at sigma = 0 and sigma = -1.
@@ -33,7 +32,7 @@ K = e^{(1-a)x}/(e^x - z), with one split at x = 1 for both signs of sigma:
   Gamma(sigma) Phi = int_0^1 G x^{sigma-1} dx + int_1^inf K x^{sigma-1} dx
                      + C/sigma - [z = 1]/(1 - sigma)
 
-on -1 < sigma < 0 and on 0 < sigma < 11 (below 1 when z = 1).  C is the
+on -1 < sigma < 0 and on 0 < sigma (below 1 when z = 1).  C is the
 constant term of K at x = 0, 1/2 - a at z = 1 and 1/(1-z) otherwise, and
 G, the kernel G (z = 1) or G_z of kernels.py, is K less C and less 1/x
 at z = 1.  The last two terms integrate what G drops in closed form: C
@@ -47,8 +46,9 @@ either way, and 1/x over [1, inf) gives -1/(1 - sigma).
             c_k x^{k+sigma-1}, k >= 1); the remainder [delta, 1] goes to
             tanh-sinh.
   int_1^inf K = e^{-ax}/(1 - z e^{-x}) decays exponentially and goes to
-            exp-sinh, whose nodes reach x ~ e^{70.7}: below sigma = 11,
-            x^{sigma-1} stays finite on all of them.
+            exp-sinh, whose nodes reach x ~ e^{70.7}: from sigma = 11 on,
+            x^{sigma-1} overflows there while K underflows, and the
+            level sums multiply the two in logs.
 
 The integral route adds its pieces (head, [delta, 1], [1, inf), closed
 forms) with plain sums and adds 4 eps times the sum of their magnitudes to
@@ -76,21 +76,23 @@ sigma or for an array of sigma of one sign: the domain and conditioning
 checks, Gamma(sigma), the head terms, the closed forms, the value with its
 estimate and the finiteness rule are one expression each, applied to a
 float or to the array.  Only the level sum is two.  For one sigma,
-_Rule.sum weights x^{sigma-1} against the kept v and quadrature's level
-loop runs once, one level at a time; for many, the level loop runs every
-sigma as a column that stops at its own level, and asks first for levels
-0-3 together, which no column can stop before.  _Rule.sums forms one
-(sigma x nodes) matrix of exponentials exp((sigma - 1) log x) over the
-joined nodes of a request, in blocks of a bounded size, and reduces it
-against v per level; so a z = 1 cell calls kernel_G, and with it
-h_series_coeffs, once for levels 0-3 and once per deeper level.  The two
-stay apart because the column loop's numpy dispatch does not pay for one
-sigma: on a 2-core host a batch of one costs 230-260 us against 70-95 us
-for a warm scalar call (a = 0.1, z in {1, -1, 0.95}), and single sigma
-sent through the column loop made fresh evaluate calls 10-50 % slower.
-The expressions and their order do not depend on what the object holds,
-so a reused object returns the bits of a fresh one.  evaluate,
-phi_series and phi_integral build one object and call it once.
+_Rule.sum weights x^{sigma-1} against the kept v (in logs from sigma = 11
+on, where x^{sigma-1} overflows on the far exp-sinh nodes) and
+quadrature's level loop runs once, one level at a time; for many, the
+level loop runs every sigma as a column that stops at its own level, and
+asks first for levels 0-3 together, which no column can stop before.
+_Rule.sums forms one (sigma x nodes) matrix of exponentials
+exp((sigma - 1) log x) over the joined nodes of a request, in blocks of a
+bounded size, and reduces it against v per level; so a z = 1 cell calls
+kernel_G, and with it h_series_coeffs, once for levels 0-3 and once per
+deeper level.  The two stay apart because the column loop's numpy
+dispatch does not pay for one sigma: on a 2-core host a batch of one
+costs 230-260 us against 70-95 us for a warm scalar call (a = 0.1, z in
+{1, -1, 0.95}), and single sigma sent through the column loop made fresh
+evaluate calls 10-50 % slower.  The expressions and their order do not
+depend on what the object holds, so a reused object returns the bits of a
+fresh one.  evaluate, phi_series and phi_integral build one object and
+call it once.
 
 _Cell.batch takes many sigma of (-1, 0) through the array form of that
 body, or of the series' first chunk as a (sigma x terms) matrix where the
@@ -135,7 +137,7 @@ _EPS = float(np.finfo(float).eps)
 _SPLIT = 1.0                # int_0^inf is split here (the kernel analysis splits at 1)
 _HEAD_DELTA = 0.25          # head-series reach for the H/G kernels
 _MIN_ONE_MINUS_Z = 1e-3     # conditioning cap on the integral paths
-_INTEGRAL_TOP = 11.0        # z != 1: below it x^{sigma-1} is finite on exp-sinh nodes
+_POW_TOP = 11.0             # below it x^{sigma-1} is finite on every quadrature node
 _SERIES_MAX_TERMS = 2_000_000   # term cap of phi_series
 _SERIES_CHUNK = 2048        # terms per numpy reduction in phi_series
 _SERIES_MIN_SIGMA = 4.0     # evaluate: the series for |z| > 0.9 from here
@@ -317,9 +319,11 @@ class _Rule:
         self.kept: list[tuple[np.ndarray, np.ndarray]] = []
 
     def levels(self, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The kept levels, built up to level stop - 1: a table per missing
-        level, then one f call on their joined nodes, kept as per-level
-        views.  A level's samples are the same bits however it was built."""
+        """Every kept level, after building those of levels 0..stop-1 not
+        kept yet: a table per missing level, then one f call on their
+        joined nodes, kept as per-level views.  A level's samples are the
+        same bits however it was built.  Deeper levels may be kept from an
+        earlier request, so a caller indexes the levels it asks for."""
         kept = self.kept
         if len(kept) < stop:
             tables = list(map(self.table, range(len(kept), stop)))
@@ -332,16 +336,23 @@ class _Rule:
         return kept
 
     def sum(self, sigma: float, level: int) -> tuple[complex, int]:
-        """The level's sum at one sigma: only x^{sigma-1} is new."""
+        """The level's sum at one sigma: only x^{sigma-1} is new.  From
+        sigma = _POW_TOP on, x^{sigma-1} overflows on the far exp-sinh
+        nodes while v underflows, so there the product is taken in logs
+        over the nodes with v != 0."""
         x, v = self.levels(level + 1)[level]
-        return (x ** (sigma - 1.0) * v).sum(), x.size
+        if sigma < _POW_TOP:
+            return (x ** (sigma - 1.0) * v).sum(), x.size
+        nz = v != 0.0
+        logs = (sigma - 1.0) * np.log(x[nz]) + np.log(v[nz] + 0j)
+        return np.exp(logs).sum(), x.size
 
     def sums(self, sig: np.ndarray, levels: range,
              cols: np.ndarray) -> tuple[np.ndarray, int]:
         """sum for the columns cols of the array sig at each level of
         levels, as a (levels x cols) array: one exponential over the
         joined nodes of the levels, reduced per level."""
-        parts = self.levels(levels.stop)[levels.start:]
+        parts = self.levels(levels.stop)[levels.start:levels.stop]
         x, v = _join(parts)
         return (_exp_rows(sig[cols] - 1.0, np.log(x), _by_level(v, _cuts(parts))),
                 x.size)
@@ -490,7 +501,7 @@ class _Cell:
         a, z, s = self.a, self.z, _SPLIT
         many = isinstance(sigma, np.ndarray)
         lo, hi = (sigma.min(), sigma.max()) if many else (sigma, sigma)
-        top = 1.0 if z == 1 else _INTEGRAL_TOP
+        top = 1.0 if z == 1 else math.inf
         if not (-1.0 < lo <= hi < 0.0 or 0.0 < lo <= hi < top):
             raise DomainError(f"the integral route needs sigma in (-1,0) u "
                               f"(0,{top:g}) at z = {z}, got {sigma}")
@@ -637,7 +648,7 @@ def phi_series(sigma: float, a: float, z: complex,
 def phi_integral(sigma: float, a: float, z: complex,
                  tol: float = 1e-10) -> EvalResult:
     """Phi(sigma, a, z) from Gamma(sigma) Phi = int_0^inf K(x) x^{sigma-1} dx
-    on -1 < sigma < 0 and on 0 < sigma < 11 (below 1 when z = 1).
+    on -1 < sigma < 0 and on 0 < sigma (below 1 when z = 1).
 
     For both signs the integrand on [0, 1] is G (z = 1) or G_z (z != 1):
     K = e^{(1-a)x}/(e^x - z) less 1/x for z = 1 and less the constant
@@ -647,8 +658,7 @@ def phi_integral(sigma: float, a: float, z: complex,
     module docstring.  tol is the absolute target, and the estimate is
     returned as reached: evaluate, not this route, refuses one above tol.
     0 < |1 - z| < 1e-3 is ConditioningError; a value or estimate outside
-    binary64 is DomainError, and so is sigma >= 11, where x^{sigma-1}
-    overflows on the last exp-sinh nodes (phi_series covers sigma > 1).
+    binary64 is DomainError.
     """
     sigma = float(sigma)
     return _Cell(a, z, tol).integral(sigma)

@@ -44,6 +44,15 @@ class TestEval:
         assert abs(v_fe - v_int) <= 1e-6
         assert out_fe.split()[3] == "FunctionalEq"
 
+    def test_integral_past_sigma_11(self, capsys):
+        # z != 1: the integral route serves every sigma > 0 up to the
+        # binary64 range, past the overflow of x^{sigma-1} on its nodes
+        code, out, _ = run_cli(capsys, "eval", "--sigma", "20", "--a", "0.5",
+                               "--z", "-1", "--method", "integral")
+        assert code == 0
+        value = float(out.split()[0])
+        assert value == pytest.approx(2.0 ** 20 - (2.0 / 3.0) ** 20, rel=1e-12)
+
     def test_em_method(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--sigma", "2", "--a", "1",
                                "--z", "1", "--method", "em")

@@ -278,17 +278,18 @@ class TestPhiIntegrals:
             phi_integral(200.0, 0.5, -1.0)
 
     @pytest.mark.filterwarnings("error")
-    def test_sigma_top_for_z_not_one(self):
-        # the exp-sinh nodes reach x ~ e^{70.7}: x^{sigma-1} stays finite on
-        # them below sigma = 11, where the route agrees with the series
-        for a, z in ((1.0, 0.95), (0.01, -1.0), (0.3, 1j)):
-            res = phi_integral(10.99, a, z)
-            ref = phi_series(10.99, a, z, tol=1e-30)
-            assert abs(res.value - ref.value) <= (res.abs_err_estimate
-                                                  + ref.abs_err_estimate)
-            assert res.abs_err_estimate <= 1e-13 * abs(res.value)
-            with pytest.raises(DomainError, match=r"\(0,11\)"):
-                phi_integral(11.0, a, z)
+    def test_far_exp_sinh_nodes_past_sigma_11(self):
+        # the exp-sinh nodes reach x ~ e^{70.7}: from sigma = 11 on,
+        # x^{sigma-1} overflows there while K underflows, and the level sums
+        # multiply the two in logs; the route agrees with the series on both
+        # sides of that switch and far past it
+        for a, z in ((1.0, 0.95), (0.01, -1.0), (0.3, 1j), (1.0, -0.6)):
+            for sigma in (10.99, 11.0, 40.0) + ((150.0,) if a == 1.0 else ()):
+                res = phi_integral(sigma, a, z)
+                ref = phi_series(sigma, a, z, tol=1e-16 * a ** -sigma)
+                assert abs(res.value - ref.value) <= (
+                    res.abs_err_estimate + ref.abs_err_estimate), (a, z, sigma)
+                assert res.abs_err_estimate <= 1e-13 * abs(res.value)
 
 
 class TestDispatcher:
@@ -514,6 +515,25 @@ class TestCellReuse:
             for sigma in sigmas.tolist():
                 assert _hex(lambda: cell(sigma)) == _hex(
                     lambda: evaluate(sigma, a, z)), (a, sigma)
+
+    @pytest.mark.parametrize("z", [1.0, -1.0, cmath.exp(1j)],
+                             ids=["one", "minus_one", "unit"])
+    def test_later_batch_matches_fresh_batch_bit_for_bit(self, z):
+        # a batch on an object that already keeps levels past 3, from an
+        # earlier batch or from scalar calls, sums the levels it asks for
+        # and no others: it gives the bits of a fresh object's batch
+        first, later = np.linspace(-0.95, -0.05, 15), np.linspace(-0.9, -0.1, 9)
+        for a in (0.1, 0.43):
+            fresh = [_hex(lambda: r)
+                     for r in _EVALUATE._Cell(a, z, 1e-10).batch(later)]
+            after_batch = _EVALUATE._Cell(a, z, 1e-10)
+            after_batch.batch(first)
+            after_scalar = _EVALUATE._Cell(a, z, 1e-10)
+            for sigma in (-0.3, 0.4, -0.8):
+                after_scalar(sigma)
+            for cell in (after_batch, after_scalar):
+                assert max(len(rule.kept) for rule in cell._rules) > 4
+                assert [_hex(lambda: r) for r in cell.batch(later)] == fresh, a
 
     @pytest.mark.parametrize("z, a", [(1.0, 0.1), (-1.0, 0.37), (cmath.exp(1j), 0.43)],
                              ids=["one", "minus_one", "unit"])

@@ -337,6 +337,26 @@ def test_proxy_matches_grid_census(kind):
             assert abs(root - ref) <= 1e-10, (a, z, root, ref)
 
 
+def test_proxy_of_degree_32_matches_grid_census(monkeypatch):
+    # at tol = 1e-12 these proxies double to degree 32, so the second
+    # vector call finds the cell keeping levels from the first
+    batches = Counter()
+    batch = _Cell.batch
+
+    def counted(self, sigma):
+        batches[a, z] += 1
+        return batch(self, sigma)
+
+    monkeypatch.setattr(_Cell, "batch", counted)
+    for a, z in ((0.1, 1.0), (0.6, 1.0), (0.01, -1.0)):
+        rep = scan_zeros(a, z, tol=1e-12)
+        assert batches[a, z] == 2, (a, z)
+        expected = _grid_roots(a, z, 1e-12)
+        assert len(rep.roots) == len(expected) >= 1, (a, z, rep.roots, expected)
+        for root, ref in zip(rep.roots, expected):
+            assert abs(root - ref) <= 1e-12, (a, z, root, ref)
+
+
 class TestCase3:
     def test_quarter_turn(self):
         m = check_case3(0.5, 1.0, math.pi / 2, tol=FAST)

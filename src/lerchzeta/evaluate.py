@@ -48,7 +48,8 @@ either way, and 1/x over [1, inf) gives -1/(1 - sigma).
   int_1^inf K = e^{-ax}/(1 - z e^{-x}) decays exponentially and goes to
             exp-sinh, whose nodes reach x ~ e^{70.7}: from sigma = 11 on,
             x^{sigma-1} overflows there while K underflows, and the
-            level sums multiply the two in logs.
+            level sums take x^{sigma-1} as three powers, each applied to
+            K in turn.
 
 The integral route adds its pieces (head, [delta, 1], [1, inf), closed
 forms) with plain sums and adds 4 eps times the sum of their magnitudes to
@@ -58,7 +59,7 @@ quadrature level.
 
 Reuse per (a, z): the series, integral and dispatch live on one private
 object per (a, z) and tol (_Cell), which checks a, z and tol once and keeps
-what does not depend on sigma once built: the head coefficients
+what depends on (a, z) but not on sigma once built: the head coefficients
 (h_series_coeffs(a) or gz_taylor_coeffs(a, z)) with delta; z^n over the
 first series chunk, which holds the smallest number of terms (at most
 2048) whose tail bound at sigma = -1 meets tol; and per level of each
@@ -71,28 +72,47 @@ level loop asks for levels by number, from 0 up, so a rule keeps levels
 tables in one path: one f call on their joined nodes, kept as per-level
 views.  A level's samples are the same bits however it was built.
 
+Kept process-wide: what depends on neither a nor z, bounded, read-only,
+keyed by the exact values it is built from and filled by the same
+expressions whatever is kept, so no value depends on what is kept:
+  * quadrature's node tables: the nodes of a level in the transformed
+    variable, one per level; their image (x, w) on [delta, 1], keyed by
+    (delta, 1, level), and on [1, inf), keyed by (1, level), at most
+    quadrature._TABLES (32) of each.  A rule is named by its nodes, ("ts",
+    delta) or ("es",), and takes each level's table by that name (_table).
+  * for the array form, per rule name, bytes of the sigma array and level,
+    the (sigma x nodes) matrix exp((sigma - 1) log x) of the level
+    (_exp_level), when it has at most _TILE (4096) entries; at most _MEMO
+    (32) matrices, 1 MB.
+  * for the array form, per bytes of the sigma array, delta and head
+    length: Gamma(sigma), the head's delta^k/k and delta^sigma
+    (_sigma_table), at most _MEMO (32).
+At z = +-1 delta is 1/4, so every cell of a census over a at those z
+shares its node tables, and every batch of the same sigma its matrices;
+the kernel samples and the head coefficients stay per (a, z).
+
 One body, _Cell.integral, computes what depends on sigma, for one float
 sigma or for an array of sigma of one sign: the domain and conditioning
 checks, Gamma(sigma), the head terms, the closed forms, the value with its
 estimate and the finiteness rule are one expression each, applied to a
 float or to the array.  Only the level sum is two.  For one sigma,
-_Rule.sum weights x^{sigma-1} against the kept v (in logs from sigma = 11
-on, where x^{sigma-1} overflows on the far exp-sinh nodes) and
-quadrature's level loop runs once, one level at a time; for many, the
-level loop runs every sigma as a column that stops at its own level, and
-asks first for levels 0-3 together, which no column can stop before.
-_Rule.sums forms one (sigma x nodes) matrix of exponentials
-exp((sigma - 1) log x) over the joined nodes of a request, in blocks of a
-bounded size, and reduces it against v per level; so a z = 1 cell calls
-kernel_G, and with it h_series_coeffs, once for levels 0-3 and once per
-deeper level.  The two stay apart because the column loop's numpy
-dispatch does not pay for one sigma: on a 2-core host a batch of one
-costs 230-260 us against 70-95 us for a warm scalar call (a = 0.1, z in
-{1, -1, 0.95}), and single sigma sent through the column loop made fresh
-evaluate calls 10-50 % slower.  The expressions and their order do not
-depend on what the object holds, so a reused object returns the bits of a
-fresh one.  evaluate, phi_series and phi_integral build one object and
-call it once.
+_Rule.sum weights x^{sigma-1} against the kept v (from sigma = 11 on, where
+x^{sigma-1} overflows on the far exp-sinh nodes, as three powers applied
+in turn) and quadrature's level loop runs once, one level at a time; for
+many, the level loop runs every sigma as a column that stops at its own
+level, and asks first for levels 0-3 together, which no column can stop
+before.  _Rule.sums reduces each level's (sigma x nodes) matrix of
+exponentials exp((sigma - 1) log x) against v: the kept matrix where it
+fits in _TILE entries, else one built in blocks of at most _TILE entries
+for the columns still running; so a z = 1 cell calls kernel_G, and with it
+h_series_coeffs, once for levels 0-3 and once per deeper level.  The two
+stay apart because the column loop's numpy dispatch does not pay for one
+sigma: on a 2-core host a batch of one costs 230-260 us against 70-95 us
+for a warm scalar call (a = 0.1, z in {1, -1, 0.95}), and single sigma
+sent through the column loop made fresh evaluate calls 10-50 % slower.
+The expressions and their order do not depend on what the object holds,
+so a reused object returns the bits of a fresh one.  evaluate, phi_series
+and phi_integral build one object and call it once.
 
 _Cell.batch takes many sigma of (-1, 0) through the array form of that
 body, or of the series' first chunk as a (sigma x terms) matrix where the
@@ -102,8 +122,8 @@ whose vector value is not finite or misses tol takes the scalar call, so a
 batch raises only where a scalar call raises.  zeros.scan_zeros evaluates
 the nodes of its Chebyshev proxy and zeros.check_case3 its 9 sigma with one
 batch per (a, z); the polish and residuals of scan_zeros stay on the scalar
-call.  The object lives as long as its caller holds it: nothing is cached
-across (a, z).
+call.  The object lives as long as its caller holds it; across (a, z) only
+the process-wide entries above are kept.
 """
 from __future__ import annotations
 
@@ -120,7 +140,7 @@ from .errors import (ConditioningError, DomainError, PoleError,
                      SeriesDivergenceError)
 from .kernels import (_check_a, _check_tol, _check_z, _gz_near, _is_unit,
                       gz_taylor_coeffs, h_series_coeffs, kernel_G)
-from .quadrature import _es_level_nodes, _refine, _ts_table
+from .quadrature import _es_table, _frozen, _refine, _ts_table
 from .special import bernoulli_number, bernoulli_poly, gamma_real
 
 __all__ = [
@@ -144,7 +164,8 @@ _SERIES_MIN_SIGMA = 4.0     # evaluate: the series for |z| > 0.9 from here
 _EM_TERMS = 24              # hurwitz_em: terms summed directly
 _EM_CORRECTIONS = 8         # hurwitz_em: Bernoulli corrections, B_2..B_16
 _MAX_LEVELS = 11            # tanh-sinh / exp-sinh refinement cap (nodes ~ 2^levels)
-_TILE = 1 << 12             # entries of one (sigma x nodes) block of _Cell.batch
+_TILE = 1 << 12             # entries of a kept (sigma x nodes) matrix, or of a block of _exp_rows
+_MEMO = 32                  # entries of each sigma cache (_exp_level, _sigma_table)
 
 
 class Method(str, Enum):
@@ -279,16 +300,6 @@ def _exp_rows(p: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cuts(tables: list[tuple]) -> list[slice]:
-    """The slice of each level's nodes in the joined nodes of the levels,
-    for per-level tuples whose first array has one entry per node."""
-    cuts, start = [], 0
-    for table in tables:
-        cuts.append(slice(start, start + table[0].size))
-        start += table[0].size
-    return cuts
-
-
 def _join(parts: list[tuple]) -> tuple:
     """Per-level tuples of arrays joined field by field over the levels."""
     if len(parts) == 1:
@@ -296,26 +307,51 @@ def _join(parts: list[tuple]) -> tuple:
     return tuple(np.concatenate(field) for field in zip(*parts))
 
 
-def _by_level(v: np.ndarray, cuts: list[slice]) -> np.ndarray:
-    """The (levels, nodes) matrix whose row l holds the nodes cuts[l] of
-    the joined v and 0 elsewhere: a product with it sums each level
-    apart."""
-    if len(cuts) == 1:
-        return v[None]
-    out = np.zeros((len(cuts), v.size), v.dtype)
-    for row, cut in enumerate(cuts):
-        out[row, cut] = v[cut]
-    return out
+def _table(key: tuple, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, w) of a level of the rule named key: ("ts", delta) for
+    tanh-sinh on [delta, _SPLIT], ("es",) for exp-sinh on [_SPLIT, inf)."""
+    if key[0] == "ts":
+        return _ts_table(key[1], _SPLIT, level)
+    return _es_table(_SPLIT, level)
+
+
+@functools.lru_cache(maxsize=_MEMO)
+def _exp_level(key: tuple, sig: bytes, level: int) -> np.ndarray:
+    """exp((sigma - 1) log x), the (sigma x nodes) matrix of _exp_rows over
+    the nodes x of a level of the rule named key, for the sigma array whose
+    bytes are sig; read-only, as every cell whose rule has that key shares
+    it."""
+    e = np.multiply.outer(np.frombuffer(sig) - 1.0,
+                          np.log(_table(key, level)[0]))
+    return _frozen(np.exp(e, out=e))[0]
+
+
+def _sigma_terms(sigma: float | np.ndarray, delta: float, terms: int) -> tuple:
+    """What the integral needs of sigma and delta alone, for a float sigma
+    or elementwise for an array: Gamma(sigma), which refuses sigma past
+    ~171.6; delta^k/k for the exponents k = sigma + 1, ..., sigma + terms -
+    1 of the head series, as (terms - 1,) or (sigma x terms - 1); and
+    delta^sigma."""
+    gam = (np.array([gamma_real(x) for x in sigma.tolist()])
+           if isinstance(sigma, np.ndarray) else gamma_real(sigma))
+    k = np.add.outer(sigma, np.arange(1, terms))
+    return gam, delta ** k / k, delta ** sigma
+
+
+@functools.lru_cache(maxsize=_MEMO)
+def _sigma_table(sig: bytes, delta: float, terms: int) -> tuple:
+    """_sigma_terms for the sigma array whose bytes are sig, read-only."""
+    return _frozen(*_sigma_terms(np.frombuffer(sig), delta, terms))
 
 
 class _Rule:
-    """One quadrature rule of the integral for one (a, z): table(level)
-    gives the (x, w) of a level and f the integrand.  It keeps levels
-    0..n-1 as (x, v = w f(x)), so the sum of a level at sigma is that of
-    x^{sigma-1} v, whichever the rule."""
+    """One quadrature rule of the integral for one (a, z): key names its
+    nodes (_table) and f is its integrand.  It keeps levels 0..n-1 as (x,
+    v = w f(x)), so the sum of a level at sigma is that of x^{sigma-1} v,
+    whichever the rule."""
 
-    def __init__(self, table, f):
-        self.table, self.f = table, f
+    def __init__(self, key: tuple, f):
+        self.key, self.f = key, f
         self.kept: list[tuple[np.ndarray, np.ndarray]] = []
 
     def levels(self, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -326,7 +362,7 @@ class _Rule:
         earlier request, so a caller indexes the levels it asks for."""
         kept = self.kept
         if len(kept) < stop:
-            tables = list(map(self.table, range(len(kept), stop)))
+            tables = [_table(self.key, level) for level in range(len(kept), stop)]
             x, w = _join(tables)
             v = w * self.f(x)
             end = 0
@@ -335,27 +371,44 @@ class _Rule:
                 kept.append((x[start:end], v[start:end]))
         return kept
 
-    def sum(self, sigma: float, level: int) -> tuple[complex, int]:
-        """The level's sum at one sigma: only x^{sigma-1} is new.  From
-        sigma = _POW_TOP on, x^{sigma-1} overflows on the far exp-sinh
-        nodes while v underflows, so there the product is taken in logs
-        over the nodes with v != 0."""
+    def sum(self, sigma: float, level: int) -> tuple[complex, int, float]:
+        """The level's sum at one sigma, its count and a bound on the
+        rounding of its terms for _refine: only x^{sigma-1} is new.  From
+        sigma = _POW_TOP on, x^{sigma-1} overflows on the far exp-sinh nodes
+        while v underflows, so there each term over the nodes with v != 0 is
+        v x^r x^q x^q, with q = (sigma - 1)/3 and r = sigma - 1 - 2q exact:
+        no factor overflows unless the term does (a factor x^q is at most
+        e^{(sigma-1) log x / 3}, and v >= e^{-745}).  Three powers within an
+        ulp and three products put that term within 5 eps of its value, and
+        that is the bound; below _POW_TOP it is 0.0.  (exp((sigma - 1) log x
+        + log v) would lose about eps |(sigma - 1) log x|, 600 eps at
+        sigma = 150.)"""
         x, v = self.levels(level + 1)[level]
         if sigma < _POW_TOP:
-            return (x ** (sigma - 1.0) * v).sum(), x.size
+            return (x ** (sigma - 1.0) * v).sum(), x.size, 0.0
         nz = v != 0.0
-        logs = (sigma - 1.0) * np.log(x[nz]) + np.log(v[nz] + 0j)
-        return np.exp(logs).sum(), x.size
+        xn, q = x[nz], (sigma - 1.0) / 3.0
+        terms = v[nz] * xn ** (sigma - 1.0 - 2.0 * q) * xn ** q * xn ** q
+        return terms.sum(), x.size, 5.0 * _EPS * np.abs(terms).sum()
 
     def sums(self, sig: np.ndarray, levels: range,
              cols: np.ndarray) -> tuple[np.ndarray, int]:
         """sum for the columns cols of the array sig at each level of
-        levels, as a (levels x cols) array: one exponential over the
-        joined nodes of the levels, reduced per level."""
-        parts = self.levels(levels.stop)[levels.start:levels.stop]
-        x, v = _join(parts)
-        return (_exp_rows(sig[cols] - 1.0, np.log(x), _by_level(v, _cuts(parts))),
-                x.size)
+        levels, as a (levels x cols) array: per level, the matrix of
+        exponentials exp((sigma - 1) log x) of every sigma of sig against v.
+        A level whose matrix fits in _TILE entries takes it from _exp_level,
+        kept process-wide; a deeper one builds it in blocks (_exp_rows) for
+        the columns cols alone."""
+        kept, sig_bytes = self.levels(levels.stop), sig.tobytes()
+        rows, count = [], 0
+        for level in levels:
+            x, v = kept[level]
+            count += x.size
+            if sig.size * x.size <= _TILE:
+                rows.append(_dot(_exp_level(self.key, sig_bytes, level), v)[cols])
+            else:
+                rows.append(_exp_rows(sig[cols] - 1.0, np.log(x), v))
+        return np.array(rows), count
 
 
 class _Cell:
@@ -481,15 +534,9 @@ class _Cell:
         on [1, inf) with f = K = e^{-ax}/(1 - z e^{-x}), whose denominator
         does not cancel there, z = 1 included."""
         a, zz, delta = self.a, self._zz, self._head[1]
-
-        def es_table(level: int) -> tuple[np.ndarray, np.ndarray]:
-            offset, w = _es_level_nodes(level)
-            return _SPLIT + offset, w
-
-        return (_Rule(lambda level: _ts_table(delta, _SPLIT, level),
-                      (lambda x: kernel_G(a, x)) if self.z == 1
+        return (_Rule(("ts", delta), (lambda x: kernel_G(a, x)) if self.z == 1
                       else lambda x: _gz_near(a, zz, x)),
-                _Rule(es_table, lambda x: np.exp(-a * x) / (1.0 - zz * np.exp(-x))))
+                _Rule(("es",), lambda x: np.exp(-a * x) / (1.0 - zz * np.exp(-x))))
 
     def integral(self, sigma: float | np.ndarray
                  ) -> EvalResult | list[EvalResult | None]:
@@ -509,20 +556,21 @@ class _Cell:
             raise ConditioningError(
                 f"|1 - z| = {abs(1.0 - z):.2e} < {_MIN_ONE_MINUS_Z}: the kernel "
                 "magnitude ~ 1/|1-z| makes the integral paths ill-conditioned")
-        # refuses sigma past ~171.6 before any work
-        gam = (np.array([gamma_real(x) for x in sigma.tolist()]) if many
-               else gamma_real(sigma))
         c, delta = self._head
         qtol = 0.25 * self.tol
         # an overflow ends as inf or nan, which the finiteness check refuses
         with np.errstate(over="ignore", invalid="ignore"):
+            # the sigma-only terms, kept process-wide for an array
+            gam, powers, delta_sigma = (
+                _sigma_table(sigma.tobytes(), delta, c.size) if many
+                else _sigma_terms(sigma, delta, c.size))
             # the constant C, the head truncation bound and the closed forms
             # of what G drops, -[z = 1]/(1 - sigma) + C/sigma
             if z == 1:
                 const = 0.5 - a
                 # |B_n(y)|/n! <= 2.01 (2pi)^{-n}: geometric truncation bound
                 ratio = delta / (2.0 * math.pi)
-                head_err = (2.01 * ratio ** (c.size + 1) / delta * delta ** sigma
+                head_err = (2.01 * ratio ** (c.size + 1) / delta * delta_sigma
                             / (1.0 - ratio))
                 corr = -s ** (sigma - 1.0) / (1.0 - sigma)   # the 1/x part
             else:
@@ -532,8 +580,7 @@ class _Cell:
             corr = corr + const * s ** sigma / sigma
             # int_0^delta G x^{sigma-1} dx, term by term from the power series
             # of G from its x^1 term: (terms,) or (sigma x terms) exponents
-            k = np.add.outer(sigma, np.arange(1, c.size))
-            head = np.einsum("...j,j->...", delta ** k / k, c[1:])
+            head = np.einsum("...j,j->...", powers, c[1:])
             # the level loops of tanh_sinh on [delta, 1] and exp_sinh on [1, inf)
             # (the only two-way step: one sigma, or the columns of many)
             mid, tail = (

@@ -7,13 +7,19 @@ refinement only evaluates the integrand at the new (odd-index) abscissas.
 The reported error is the difference of the last two levels, floored at a
 few ulps of the result, and is an estimate rather than a rigorous bound.
 
-Each rule is a node table per level (_ts_table, _es_level_nodes) and the
-level loop _refine, which asks for the weighted sum of a level by number; a
-caller with many integrands on one interval keeps per-level arrays of its own,
-and _refine can run such integrands side by side, each column stopping at
-its own level.  No level before the third can stop the loop, so the column
-form asks for levels 0 to 3 in one request and the caller can sample and sum
-them as one block; from there it asks one level at a time.
+Each rule is a node table per level (_ts_table on [a, b], _es_table on
+[a, inf)) and the level loop _refine, which asks for the weighted sum of a
+level by number; a caller with many integrands on one interval keeps
+per-level arrays of its own, and _refine can run such integrands side by
+side, each column stopping at its own level.  No level before the third
+can stop the loop, so the column form asks for levels 0 to 3 in one request
+and the caller can sample and sum them as one block; from there it asks one
+level at a time.
+
+The node tables are kept process-wide: the level nodes in the transformed
+variable once per level, and their image on an interval in a cache of
+_TABLES entries per rule keyed by (a, b, level) or (a, level), filled by
+the same expressions whatever it holds and handed out read-only.
 
 Integrands are called with a numpy array of abscissas and must return an
 array (real or complex).  Endpoint singularities are never evaluated: the
@@ -42,6 +48,7 @@ _TS_TMAX = 4.0
 _ES_TNEG = 4.0
 _ES_TPOS = 4.5
 _FIRST_TEST = 3     # the level of the first level-difference test
+_TABLES = 32        # entries of each interval's node-table cache
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,13 @@ def _sigmoid(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cached table is shared by every caller."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @functools.cache
 def _ts_level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """New tanh-sinh nodes at this level: (sig, one_minus_sig, weight) where
@@ -78,7 +92,7 @@ def _ts_level_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # ulp(1) and lose the double-exponential approach to the right endpoint
     om_sig = _sigmoid(-2.0 * v)
     w = _HALF_PI * np.cosh(t) / np.cosh(v) ** 2
-    return sig, om_sig, w
+    return _frozen(sig, om_sig, w)
 
 
 @functools.cache
@@ -95,9 +109,10 @@ def _es_level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     v = _HALF_PI * np.sinh(t)
     offset = np.exp(v)
     w = _HALF_PI * np.cosh(t) * offset
-    return offset, w
+    return _frozen(offset, w)
 
 
+@functools.lru_cache(maxsize=_TABLES)
 def _ts_table(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     """New tanh-sinh nodes at this level on [a, b]: (x, weight)."""
     sig, om_sig, w = _ts_level_nodes(level)
@@ -105,15 +120,24 @@ def _ts_table(a: float, b: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     # nodes that still round onto an endpoint are dropped, not evaluated
     x = np.where(sig <= 0.5, a + (b - a) * sig, b - (b - a) * om_sig)
     keep = (x > a) & (x < b)
-    return x[keep], w[keep]
+    return _frozen(x[keep], w[keep])
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _es_table(a: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """New exp-sinh nodes at this level on [a, inf): (x, weight)."""
+    offset, w = _es_level_nodes(level)
+    return _frozen(a + offset, w)
 
 
 def _refine(level_sum: Callable[..., tuple], scale: float, tol: float,
             max_levels: int, width: int | None = None) -> QuadResult:
     """The level loop both rules share.  level_sum(level) returns the
-    weighted integrand sum over the new nodes of that level and their count;
-    the estimate at step h = 2^-level is scale * h times the running sum.
-    The first test of the level difference is at level _FIRST_TEST.
+    weighted integrand sum over the new nodes of that level, their count,
+    and a bound on the rounding of its terms beyond the sum's own (0.0 when
+    each term is one product); the estimate at step h = 2^-level is scale *
+    h times the running sum, and its err adds scale * h times the running
+    bound.  The first test of the level difference is at level _FIRST_TEST.
 
     With width, there are that many integrands side by side, one per column:
     level_sum(levels, cols) returns the sums of the columns cols (an index
@@ -128,14 +152,16 @@ def _refine(level_sum: Callable[..., tuple], scale: float, tol: float,
     if width is not None:
         return _refine_columns(level_sum, scale, tol, max_levels, width)
     running = 0.0 + 0.0j
+    slack = 0.0
     prev = None
     value = 0.0 + 0.0j
     err = math.inf
     evals = 0
     level = 0
     for level in range(max_levels + 1):
-        total, count = level_sum(level)
+        total, count, rounding = level_sum(level)
         running = running + total
+        slack += rounding
         evals += count
         value = running * (2.0 ** (-level) * scale)
         if prev is not None and level >= _FIRST_TEST:
@@ -143,7 +169,7 @@ def _refine(level_sum: Callable[..., tuple], scale: float, tol: float,
             if err <= tol:
                 break
         prev = value
-    err = max(err, 4.0 * _EPS * abs(value))
+    err = max(err, 4.0 * _EPS * abs(value)) + slack * (2.0 ** (-level) * scale)
     return QuadResult(value=complex(value), err=float(err),
                       levels=level, evals=evals)
 
@@ -191,9 +217,9 @@ def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     if not b > a:
         raise ValueError("tanh_sinh requires b > a")
 
-    def level_sum(level: int) -> tuple[complex, int]:
+    def level_sum(level: int) -> tuple[complex, int, float]:
         x, w = _ts_table(a, b, level)
-        return (f(x) * w).sum(), x.size
+        return (f(x) * w).sum(), x.size, 0.0
 
     # dx/dt = (b-a) w / 2 since sig'(t) = (pi/4) cosh t / cosh^2 v
     return _refine(level_sum, 0.5 * (b - a), tol, max_levels)
@@ -203,8 +229,8 @@ def exp_sinh(f: Callable[[np.ndarray], np.ndarray], a: float,
              tol: float = 1e-11, max_levels: int = 11) -> QuadResult:
     """Integrate f over [a, inf) for integrands with (at least) exponential
     decay."""
-    def level_sum(level: int) -> tuple[complex, int]:
-        offset, w = _es_level_nodes(level)
-        return (f(a + offset) * w).sum(), offset.size
+    def level_sum(level: int) -> tuple[complex, int, float]:
+        x, w = _es_table(a, level)
+        return (f(x) * w).sum(), x.size, 0.0
 
     return _refine(level_sum, 1.0, tol, max_levels)

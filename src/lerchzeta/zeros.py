@@ -29,12 +29,19 @@ per-(a, z) object of the evaluate module, so the coefficient tables, the
 kernel samples and the series powers of its (a, z) are built once for all
 its sigma.  The proxy's nodes of a cell, and the nine sigma of
 check_case3, go through that object's vector call in one pass, which
-samples the quadrature levels 0-3 in one kernel call and sums them as one
-block before it goes on level by level; those values agree with a fresh
-evaluate per sigma within the error estimates, not bit for bit.  The
-polish and the residuals evaluate one sigma at a time through the scalar
-call, which finds the levels the vector call kept and gives the bits of a
-fresh evaluate.
+samples the quadrature levels 0-3 in one kernel call before it goes on
+level by level; those values agree with a fresh evaluate per sigma within
+the error estimates, not bit for bit.  What depends on neither a nor z is
+kept by the evaluate and quadrature modules for the whole process, bounded
+and keyed by the values it is built from (the evaluate module docstring,
+"Kept process-wide"): the node tables per interval and level (32 per
+interval), and, per set of sigma, the matrices exp((sigma - 1) log x) of
+each level of at most 4096 entries and Gamma(sigma) with the head's powers
+of delta (32 of each).  At z = +-1 every cell has the same interval and the
+same 15 proxy nodes, so a census over a builds these once.  The polish and
+the residuals evaluate one sigma at a time through the scalar call, which
+finds the levels the vector call kept and gives the bits of a fresh
+evaluate.
 """
 from __future__ import annotations
 
@@ -263,15 +270,18 @@ def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
     r is refined on p to tol/4, then polished on the true Phi.  First Phi
     is evaluated at r and at r + tol/2 or r - tol/2, on the side where the
     sign of Phi(r) puts the root; when the two differ in sign, r is the
-    root, the two points its bracket and |Phi(r)| its residual.  Otherwise
-    (or when Phi(r) = 0, or the second point leaves r's share of (-1, 0),
-    which ends half way to a neighbouring crossing) a bracket of
-    half-width max(tol/2, 2E/|p'|) about r, widened within that share
-    until its ends differ in sign, is bisected to tol, and Phi is
-    evaluated at the midpoint for its residual.  A crossing whose bracket
-    never changes sign is dropped.  The brackets reported are those
-    sign-change brackets of the computed Phi; nothing is reported from p
-    alone.
+    root, the two points its bracket and |Phi(r)| its residual.  When they
+    have one sign, the root lies beyond the second point s, and a bracket
+    from s of width h = max(tol/2, 2E/|p'|) on the far side of it, widened
+    on that side within r's share of (-1, 0) (which ends half way to a
+    neighbouring crossing) until its ends differ in sign, is bisected to
+    tol, and Phi is evaluated at the midpoint for its residual.  When
+    Phi(r) or Phi(s) is 0, when s leaves r's share, or when that side
+    holds no sign change up to the end of the share, the bracket is
+    [r - h, r + h], widened on both sides the same way.  No point is
+    evaluated twice.  A crossing whose bracket never changes sign is
+    dropped.  The brackets reported are those sign-change brackets of the
+    computed Phi; nothing is reported from p alone.
 
     E bounds |Phi - p| on [-1, 0] if the abs_err_estimates bound the true
     errors and the coefficients past the last two fall off at least as
@@ -282,12 +292,12 @@ def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
     than its spacing, 1/2048.
 
     The proxy, the polish and the residuals share one per-(a, z) object,
-    so what does not depend on sigma is built once per cell.  The polish
-    and the residuals make scalar calls: two per root when the first
-    bracket holds, as it did for every root of 900 census cells and of
-    the 190-cell acceptance census at tol = 1e-10; 3 to 10 where the
+    so what depends on (a, z) but not on sigma is built once per cell.
+    The polish and the residuals make scalar calls: two per root when the
+    first bracket holds, as it did for every root of 900 census cells and
+    of the 190-cell acceptance census at tol = 1e-10; 4 to 8 where the
     polish falls back, as next to boundary [II], where |Phi'| is small
-    against the error estimates.
+    against the error estimates (8 at a = 1/3 - 1e-4, z = -0.5).
     """
     a = _check_a(a)
     zc = complex(z)
@@ -299,10 +309,12 @@ def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
     cell = _Cell(a, zr, tol)
     phi_m1 = special_value(-1, a, zr).real
     phi_0 = special_value(0, a, zr).real
-    ends = {-1.0: phi_m1, 0.0: phi_0}
+    values = {-1.0: phi_m1, 0.0: phi_0}
 
-    def f(sig: float) -> float:   # the closed forms at the ends
-        return ends[sig] if sig in ends else cell(sig).value.real
+    def f(sig: float) -> float:   # the closed forms at the ends; Phi once per point
+        if sig not in values:
+            values[sig] = cell(sig).value.real
+        return values[sig]
 
     c, bound = _proxy(cell, phi_m1, phi_0)
 
@@ -330,7 +342,9 @@ def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
         # first r and the point tol/2 from it on the side where the sign of
         # Phi(r) puts the root: a sign change there brackets the root
         f_r = f(r)
-        s = r + math.copysign(0.5 * tol, f_r * sign_lo)
+        step = math.copysign(0.5 * tol, f_r * sign_lo)
+        s = r + step
+        beyond = False
         if f_r != 0.0 and left <= s <= right:
             f_s = f(s)
             if f_s != 0.0 and (f_s < 0.0) != (f_r < 0.0):
@@ -338,16 +352,27 @@ def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
                 roots.append(r)
                 residuals.append(abs(f_r))
                 continue
-        # else a bracket sized by the proxy's bound, widened and bisected
+            # Phi(s) kept the sign of Phi(r): the root lies beyond s
+            beyond = f_s != 0.0
+        # else a bracket sized by the proxy's bound, widened and bisected:
+        # from s on the far side of it when the root lies beyond s, and
+        # about r when it does not, or when that side of s holds no sign
+        # change up to the end of r's share
         slope = abs(2.0 * _clenshaw(_cheb_deriv(c), 2.0 * r + 1.0))
         half = max(0.5 * tol, 2.0 * bound / slope) if slope > 0.0 else 1.0
         while True:
-            lo, hi = max(left, r - half), min(right, r + half)
+            if beyond:
+                lo, hi = (s, min(right, s + half)) if step > 0.0 else (max(left, s - half), s)
+            else:
+                lo, hi = max(left, r - half), min(right, r + half)
             f_lo, f_hi = f(lo), f(hi)
             changes = f_lo != 0.0 != f_hi and (f_lo < 0.0) != (f_hi < 0.0)
             if changes or (lo, hi) == (left, right):
                 break
-            half *= 2.0
+            if beyond and (hi == right if step > 0.0 else lo == left):
+                beyond = False
+            else:
+                half *= 2.0
         if changes:
             root = _bisect(f, lo, hi, math.copysign(1.0, f_lo), tol)
             brackets.append((lo, hi))

@@ -1,13 +1,17 @@
 """CLI contract tests: output format, exit codes, CSV determinism."""
+import csv
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from lerchzeta import ConditioningError, cli
 from lerchzeta.cli import main
 from lerchzeta.zeros import scan_zeros
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +145,29 @@ class TestScan:
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[3] == "ZeroExists" and int(first[4]) >= 1
+
+    def test_reference_scan_matches_committed_csv(self, capsys, tmp_path):
+        # tests/data/reference_scan_z1_zm1.csv is the CSV of
+        # lerch scan --a-min 0.01 --a-max 1 --a-step 0.01 --z=1,-1 as
+        # committed: every row keeps its verdict and n_brackets, and each
+        # root stays within tol of the committed one
+        out = tmp_path / "reference.csv"
+        assert main(["scan", "--a-min", "0.01", "--a-max", "1", "--a-step",
+                     "0.01", "--z=1,-1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(DATA / "reference_scan_z1_zm1.csv", newline="") as fh:
+            ref = list(csv.DictReader(fh))
+        with open(out, newline="") as fh:
+            new = list(csv.DictReader(fh))
+        assert len(ref) == len(new) == 200
+        for old, row in zip(ref, new):
+            keys = ("a", "z_re", "z_im", "verdict", "n_brackets")
+            assert [row[k] for k in keys] == [old[k] for k in keys], row
+            roots = [float(r) for r in row["roots"].split(";") if r]
+            old_roots = [float(r) for r in old["roots"].split(";") if r]
+            assert len(roots) == len(old_roots) == int(row["n_brackets"])
+            for root, old_root in zip(roots, old_roots):
+                assert abs(root - old_root) < 1e-10, row
 
     def test_nonreal_z_rows(self, capsys, tmp_path):
         out = tmp_path / "unit.csv"

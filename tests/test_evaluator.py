@@ -17,6 +17,15 @@ from lerchzeta import (ConditioningError, DomainError, LerchZetaError,
                        special_value, zeta_fe_rhs)
 
 _EVALUATE = importlib.import_module("lerchzeta.evaluate")   # the module
+_QUADRATURE = importlib.import_module("lerchzeta.quadrature")
+# the process-wide caches of node tables and sigma terms
+_CACHES = (_QUADRATURE._ts_table, _QUADRATURE._es_table,
+           _EVALUATE._exp_level, _EVALUATE._sigma_table)
+
+
+def _clear_caches():
+    for cache in _CACHES:
+        cache.cache_clear()
 
 PI2_6 = math.pi ** 2 / 6.0
 PI2_12 = math.pi ** 2 / 12.0
@@ -281,8 +290,8 @@ class TestPhiIntegrals:
     def test_far_exp_sinh_nodes_past_sigma_11(self):
         # the exp-sinh nodes reach x ~ e^{70.7}: from sigma = 11 on,
         # x^{sigma-1} overflows there while K underflows, and the level sums
-        # multiply the two in logs; the route agrees with the series on both
-        # sides of that switch and far past it
+        # apply x^{sigma-1} to K as three powers in turn; the route agrees
+        # with the series on both sides of that switch and far past it
         for a, z in ((1.0, 0.95), (0.01, -1.0), (0.3, 1j), (1.0, -0.6)):
             for sigma in (10.99, 11.0, 40.0) + ((150.0,) if a == 1.0 else ()):
                 res = phi_integral(sigma, a, z)
@@ -552,6 +561,51 @@ class TestCellReuse:
         cell = _EVALUATE._Cell(a, z, 1e-10)
         assert [_hex(lambda: cell(sigma)) for sigma in (-0.5, 0.5)] == fresh
         assert built and sorted(built) == sorted(set(built))
+
+    @pytest.mark.parametrize("z", [1.0, -1.0, 0.95, cmath.exp(1j)],
+                             ids=["one", "minus_one", "z0.95", "unit"])
+    def test_batch_bits_do_not_depend_on_the_caches(self, z):
+        # the node tables, the matrices of exponentials and the sigma-only
+        # terms are kept process-wide and filled by the same expressions,
+        # so a batch has the same bits with the caches cleared and warm
+        runs = [(a, sigmas) for a in (0.1, 0.62)
+                for sigmas in (np.linspace(-0.95, -0.05, 15),
+                               np.linspace(-0.9, -0.1, 9),
+                               np.linspace(-0.97, -0.03, 15))]
+
+        def batch(a, sigmas):
+            return [_hex(lambda: r) for r in _EVALUATE._Cell(a, z, 1e-10).batch(sigmas)]
+
+        cold = []
+        for a, sigmas in runs:
+            _clear_caches()
+            cold.append(batch(a, sigmas))
+        for _ in range(2):
+            assert [batch(a, sigmas) for a, sigmas in runs] == cold
+
+    def test_caches_stay_within_their_bounds(self):
+        # cells at 100 distinct delta = 0.35 |log z| each put new tanh-sinh
+        # tables and matrices in the caches; none grows past its bound
+        sigmas = np.linspace(-0.95, -0.05, 15)
+        for theta in np.linspace(0.05, 0.7, 100).tolist():
+            cell = _EVALUATE._Cell(0.3, cmath.exp(1j * theta), 1e-10)
+            cell.batch(sigmas)
+            cell(0.5)
+        for cache in _CACHES:
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize, cache
+        assert _QUADRATURE._ts_table.cache_info().currsize == _QUADRATURE._TABLES
+
+    def test_cached_arrays_are_read_only(self):
+        sigmas = np.linspace(-0.95, -0.05, 15)
+        arrays = [*_QUADRATURE._ts_level_nodes(3), *_QUADRATURE._es_level_nodes(3),
+                  *_QUADRATURE._ts_table(0.25, 1.0, 3), *_QUADRATURE._es_table(1.0, 3),
+                  _EVALUATE._exp_level(("es",), sigmas.tobytes(), 3),
+                  *_EVALUATE._sigma_table(sigmas.tobytes(), 0.25, 30)]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_batch_refuses_where_scalar_refuses(self):
         cell = _EVALUATE._Cell(0.3, 0.9995, 1e-10)

@@ -8,7 +8,10 @@ included), and arg z in [1e-6, 1e-3] next to z = 1, all with 1 < sigma < 4.5.
 A second stratum holds five scan cells: the vector pass over sigma in
 (-1, 0), and evaluate at the same sigma and at four sigma in (0, 1).  A
 third holds sigma > 0 next to z = 1: |1 - z| in [1e-3, 1e-2] with sigma in
-(0, 1.5), sigma -> 1- at z = 0.999, and sigma -> 0+.
+(0, 1.5), sigma -> 1- at z = 0.999, and sigma -> 0+.  A fourth calls
+phi_integral directly past sigma = 10.5, where evaluate takes the series:
+there only the estimate's bound is checked, as the route returns the
+estimate it reaches.
 """
 import cmath
 import importlib
@@ -17,7 +20,7 @@ import random
 
 import pytest
 
-from lerchzeta import LerchZetaError, evaluate
+from lerchzeta import LerchZetaError, evaluate, phi_integral
 
 _Cell = importlib.import_module("lerchzeta.evaluate")._Cell
 
@@ -137,3 +140,39 @@ def test_positive_sigma_next_to_one(sigma, a, z):
     err = abs(res.value - ref)
     assert err <= res.abs_err_estimate <= max(TOL, TOL * abs(ref)), (
         str(res.method), err, res.abs_err_estimate)
+
+
+def _phi_far(sigma, a, z):
+    """Phi(sigma, a, z) for sigma > 10 and |z| <= 1 by the series, summed
+    until sum_{m>=n} (m+a)^{-sigma} <= (n+a)^{-sigma} (1 + (n+a)/(sigma-1))
+    is below 1e-25 of the first term, which is above |Phi|/2 there."""
+    s, aa, zz = mp.mpf(sigma), mp.mpf(a), mp.mpc(z)
+    first = mp.power(aa, -s)
+    terms, n, zn = [], 0, mp.mpc(1)
+    while True:
+        terms.append(zn * mp.power(n + aa, -s))
+        n, zn = n + 1, zn * zz
+        if mp.power(n + aa, -s) * (1 + (n + aa) / (s - 1)) < first * mp.mpf(10) ** -25:
+            return mp.fsum(terms)
+
+
+def test_integral_past_sigma_11_bounds_its_error():
+    # from sigma = 11 on the exp-sinh level sums split x^{sigma-1} into
+    # three powers (evaluate._Rule.sum); in logs they lost about
+    # eps |(sigma - 1) log x| per term, which the estimate did not count
+    rng = random.Random(20261020)
+    served, misses = 0, []
+    for _ in range(150):
+        sigma, a = rng.uniform(10.5, 160.0), rng.uniform(0.01, 1.0)
+        z = cmath.rect(math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+        try:
+            res = phi_integral(sigma, a, z)
+        except LerchZetaError:
+            continue
+        served += 1
+        with mp.workdps(30):
+            ref = complex(_phi_far(sigma, a, z))
+        err = abs(res.value - ref)
+        if not err <= res.abs_err_estimate:
+            misses.append((sigma, a, z, err, res.abs_err_estimate))
+    assert served >= 100 and misses == []

@@ -80,7 +80,7 @@ class TestRefine:
 
             def level_sum(level):
                 seen.append(level)
-                return 2.0 ** -level, 1
+                return 2.0 ** -level, 1, 0.0
 
             res = _refine(level_sum, 1.0, tol, max_levels)
             assert seen == list(range(res.levels + 1))
@@ -120,7 +120,7 @@ class TestRefine:
                              for lv in levels]), 1
 
         res = _refine(level_sum, 1.0, 1e-4, 11, rates.size)
-        alone = [_refine(lambda level: (total(r, level), 1), 1.0, 1e-4, 11)
+        alone = [_refine(lambda level: (total(r, level), 1, 0.0), 1.0, 1e-4, 11)
                  for r in rates]
         assert [a.levels for a in alone] == [11, 9, 5, 3]
         assert asked[0] == ([0, 1, 2, 3], [0, 1, 2, 3])

@@ -119,35 +119,45 @@ class TestScanZeros:
                 return _fn(*args)
             for mod in (evaluate_mod, kernels):
                 monkeypatch.setattr(mod, name, counted)
-        # and the node mapping of each quadrature level once per cell, not
-        # once per sigma
+        # and the node mapping of each quadrature level once per process and
+        # interval, not once per cell or per sigma: the node tables are kept
+        # process-wide, so a cell maps the nodes of a level only when no
+        # earlier cell has
         quadrature = importlib.import_module("lerchzeta.quadrature")
         levels = {name: Counter() for name in ("_ts_level_nodes", "_es_level_nodes")}
         for name, seen in levels.items():
             def counted_level(level, _fn=getattr(quadrature, name), _seen=seen):
                 _seen[level] += 1
                 return _fn(level)
-            for mod in (evaluate_mod, quadrature):
-                if hasattr(mod, name):
-                    monkeypatch.setattr(mod, name, counted_level)
+            monkeypatch.setattr(quadrature, name, counted_level)
 
         def past_prefix():   # tanh-sinh levels sampled one by one
             return max(levels["_ts_level_nodes"]) - 3
 
-        scan_zeros(0.1, 1.0)
-        assert past_prefix() >= 0
-        assert calls == Counter(h_series_coeffs=1 + 1 + past_prefix())
-        # one tanh-sinh table and one exp-sinh table per level
-        for name in levels:
-            seen = levels[name]
-            assert sorted(seen) == list(range(len(seen))) != [], seen
-            assert max(seen.values()) == 1, seen
-        calls.clear()
-        for seen in levels.values():
-            seen.clear()
-        scan_zeros(0.1, -1.0)
-        assert past_prefix() >= 0
-        assert calls == Counter(gz_taylor_coeffs=1, _gz_near=1 + past_prefix())
+        for z, expected in (
+                (1.0, lambda past: Counter(h_series_coeffs=1 + 1 + past)),
+                (-1.0, lambda past: Counter(gz_taylor_coeffs=1, _gz_near=1 + past))):
+            quadrature._ts_table.cache_clear()
+            quadrature._es_table.cache_clear()
+            calls.clear()
+            for seen in levels.values():
+                seen.clear()
+            scan_zeros(0.1, z)
+            past = past_prefix()
+            assert past >= 0
+            assert calls == expected(past)
+            # one tanh-sinh table and one exp-sinh table per level
+            for name in levels:
+                seen = levels[name]
+                assert sorted(seen) == list(range(len(seen))) != [], seen
+                assert max(seen.values()) == 1, seen
+            # the same cell again samples its kernel as often and maps no node
+            calls.clear()
+            for seen in levels.values():
+                seen.clear()
+            scan_zeros(0.1, z)
+            assert calls == expected(past)
+            assert not any(levels.values()), levels
 
     def test_call_budget(self, monkeypatch):
         # the proxy's nodes take at most two vector calls (degree 16, then
@@ -176,6 +186,30 @@ class TestScanZeros:
         rep = scan_zeros(1.0 / 3.0 - 1e-4, -0.5, tol=1e-10)
         assert len(rep.roots) == 1
         assert 2 < calls["__call__"] <= 12, calls
+
+    def test_fallback_starts_beyond_the_first_pair(self, monkeypatch):
+        # 1e-4 below boundary [II] Phi(r) and Phi(r +- tol/2) keep one sign,
+        # which puts the root beyond r +- tol/2: the widened bracket starts
+        # there, so the root takes fewer scalar calls than the 10 of a
+        # bracket about r, and the evaluated points next to it on either
+        # side still differ in sign less than tol apart
+        cell_cls = importlib.import_module("lerchzeta.evaluate")._Cell
+        values = []
+
+        def counted(self, sigma, _fn=cell_cls.__call__):
+            res = _fn(self, sigma)
+            values.append((sigma, res.value.real))
+            return res
+
+        monkeypatch.setattr(cell_cls, "__call__", counted)
+        tol = 1e-10
+        rep = scan_zeros(1.0 / 3.0 - 1e-4, -0.5, tol=tol)
+        assert len(rep.roots) == 1 and 2 < len(values) < 10, values
+        root, seen = rep.roots[0], dict(values)
+        lo = max(sigma for sigma in seen if sigma < root)
+        hi = min(sigma for sigma in seen if sigma > root)
+        assert hi - lo < tol and seen[lo] * seen[hi] < 0.0, (lo, hi)
+        assert rep.brackets[0][0] <= lo < hi <= rep.brackets[0][1]
 
     def test_falls_back_when_first_bracket_misses(self, monkeypatch):
         # the vector values are 1e-6 sin(pi sigma) off the scalar ones,

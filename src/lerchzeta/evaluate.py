@@ -70,7 +70,10 @@ over the nodes, and one object type (_Rule) holds either.  quadrature's
 level loop asks for levels by number, from 0 up, so a rule keeps levels
 0..n-1 and builds the missing ones of a request from quadrature's node
 tables in one path: one f call on their joined nodes, kept as per-level
-views.  A level's samples are the same bits however it was built.
+views.  The array form asks first for a rule's prefix, tanh-sinh levels
+0-4 and exp-sinh levels 0-5 (_PREFIX), so a cell's first vector call
+samples each rule with one f call.  A level's samples are the same bits
+however it was built.
 
 Kept process-wide: what depends on neither a nor z, bounded, read-only,
 keyed by the exact values it is built from and filled by the same
@@ -80,16 +83,21 @@ expressions whatever is kept, so no value depends on what is kept:
     (delta, 1, level), and on [1, inf), keyed by (1, level), at most
     quadrature._TABLES (32) of each.  A rule is named by its nodes, ("ts",
     delta) or ("es",), and takes each level's table by that name (_table).
-  * for the array form, per rule name, bytes of the sigma array and level,
-    the (sigma x nodes) matrix exp((sigma - 1) log x) of the level
-    (_exp_level), when it has at most _TILE (4096) entries; at most _MEMO
-    (32) matrices, 1 MB.
+  * for the array form, per rule name and bytes of the sigma array, the
+    (sigma x nodes) matrix exp((sigma - 1) log x) over the joined nodes of
+    the rule's prefix levels, with the index of each level's first node
+    (_prefix_exp).  A sigma array of more rows than _TILE (4096) entries
+    allow is kept in row blocks of at most _TILE entries; at most _MEMO
+    (32) blocks, 1 MB.  The exp-sinh entry of a sigma array is shared by
+    every cell and used by each of its batches, so cells with new delta,
+    which bring new tanh-sinh entries, do not evict it.
   * for the array form, per bytes of the sigma array, delta and head
     length: Gamma(sigma), the head's delta^k/k and delta^sigma
     (_sigma_table), at most _MEMO (32).
 At z = +-1 delta is 1/4, so every cell of a census over a at those z
 shares its node tables, and every batch of the same sigma its matrices;
-the kernel samples and the head coefficients stay per (a, z).
+the kernel samples and the head coefficients stay per (a, z).  Levels
+past the prefix keep no matrix: few columns reach them.
 
 One body, _Cell.integral, computes what depends on sigma, for one float
 sigma or for an array of sigma of one sign: the domain and conditioning
@@ -99,24 +107,26 @@ float or to the array.  Only the level sum is two.  For one sigma,
 _Rule.sum weights x^{sigma-1} against the kept v (from sigma = 11 on, where
 x^{sigma-1} overflows on the far exp-sinh nodes, as three powers applied
 in turn) and quadrature's level loop runs once, one level at a time; for
-many, the level loop runs every sigma as a column that stops at its own
-level, and asks first for levels 0-3 together, which no column can stop
-before.  _Rule.sums reduces each level's (sigma x nodes) matrix of
-exponentials exp((sigma - 1) log x) against v: the kept matrix where it
-fits in _TILE entries, else one built in blocks of at most _TILE entries
-for the columns still running; so a z = 1 cell calls kernel_G, and with it
-h_series_coeffs, once for levels 0-3 and once per deeper level.  The two
-stay apart because the column loop's numpy dispatch does not pay for one
-sigma: on a 2-core host a batch of one costs 230-260 us against 70-95 us
-for a warm scalar call (a = 0.1, z in {1, -1, 0.95}), and single sigma
-sent through the column loop made fresh evaluate calls 10-50 % slower.
+many, _Cell._columns applies that loop's rule to every (rule, sigma) as a
+column.  Each rule's joined prefix v times its kept matrix of
+exponentials, reduced per level (np.add.reduceat) and summed over the
+levels, gives every estimate of the prefix at once, and the estimates of
+both rules are one array, so each column's stop is read off after the
+fact in one pass for both rules; only the columns without one go on, a
+level at a time, with exponentials built for them alone in blocks of at
+most _TILE entries (_exp_rows).  So a z = 1 cell calls kernel_G, and with
+it h_series_coeffs, once for the prefix and once per deeper level.  The
+two stay apart because the array form's numpy dispatch does not pay for
+one sigma: on a 2-core host a batch of one costs 70-75 us against 43-47 us for a warm scalar call (a = 0.1,
+z in {1, -1, 0.95}).
 The expressions and their order do not depend on what the object holds,
 so a reused object returns the bits of a fresh one.  evaluate, phi_series
 and phi_integral build one object and call it once.
 
 _Cell.batch takes many sigma of (-1, 0) through the array form of that
 body, or of the series' first chunk as a (sigma x terms) matrix where the
-series is evaluate's route.  Summed in another order, its values agree
+series is evaluate's route, and returns their values and estimates as two
+arrays.  Summed in another order, its values agree
 with the scalar calls within their estimates, not bit for bit; a sigma
 whose vector value is not finite or misses tol takes the scalar call, so a
 batch raises only where a scalar call raises.  zeros.scan_zeros evaluates
@@ -140,7 +150,8 @@ from .errors import (ConditioningError, DomainError, PoleError,
                      SeriesDivergenceError)
 from .kernels import (_check_a, _check_tol, _check_z, _gz_near, _is_unit,
                       gz_taylor_coeffs, h_series_coeffs, kernel_G)
-from .quadrature import _es_table, _frozen, _refine, _ts_table
+from .quadrature import (_FIRST_TEST, QuadResult, _es_table, _frozen,
+                         _refine, _ts_table)
 from .special import bernoulli_number, bernoulli_poly, gamma_real
 
 __all__ = [
@@ -165,7 +176,11 @@ _EM_TERMS = 24              # hurwitz_em: terms summed directly
 _EM_CORRECTIONS = 8         # hurwitz_em: Bernoulli corrections, B_2..B_16
 _MAX_LEVELS = 11            # tanh-sinh / exp-sinh refinement cap (nodes ~ 2^levels)
 _TILE = 1 << 12             # entries of a kept (sigma x nodes) matrix, or of a block of _exp_rows
-_MEMO = 32                  # entries of each sigma cache (_exp_level, _sigma_table)
+_MEMO = 32                  # entries of each sigma cache (_prefix_exp, _sigma_table)
+# levels of each rule's prefix, sampled and summed as one block by the array
+# form: tanh-sinh levels 0-4 and exp-sinh levels 0-5, the deepest that census
+# columns at tol 1e-10 mostly reach
+_PREFIX = {"ts": 5, "es": 6}
 
 
 class Method(str, Enum):
@@ -316,14 +331,14 @@ def _table(key: tuple, level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=_MEMO)
-def _exp_level(key: tuple, sig: bytes, level: int) -> np.ndarray:
-    """exp((sigma - 1) log x), the (sigma x nodes) matrix of _exp_rows over
-    the nodes x of a level of the rule named key, for the sigma array whose
-    bytes are sig; read-only, as every cell whose rule has that key shares
-    it."""
-    e = np.multiply.outer(np.frombuffer(sig) - 1.0,
-                          np.log(_table(key, level)[0]))
-    return _frozen(np.exp(e, out=e))[0]
+def _prefix_exp(key: tuple, sig: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """exp((sigma - 1) log x), the (sigma x nodes) matrix over the joined
+    nodes x of the prefix levels of the rule named key, for the sigma array
+    whose bytes are sig, with the index of each level's first node;
+    read-only, as every cell whose rule has that key shares them."""
+    nodes = [_table(key, level)[0] for level in range(_PREFIX[key[0]])]
+    e = np.multiply.outer(np.frombuffer(sig) - 1.0, np.log(np.concatenate(nodes)))
+    return _frozen(np.exp(e, out=e), np.cumsum([0] + [x.size for x in nodes[:-1]]))
 
 
 def _sigma_terms(sigma: float | np.ndarray, delta: float, terms: int) -> tuple:
@@ -390,25 +405,6 @@ class _Rule:
         xn, q = x[nz], (sigma - 1.0) / 3.0
         terms = v[nz] * xn ** (sigma - 1.0 - 2.0 * q) * xn ** q * xn ** q
         return terms.sum(), x.size, 5.0 * _EPS * np.abs(terms).sum()
-
-    def sums(self, sig: np.ndarray, levels: range,
-             cols: np.ndarray) -> tuple[np.ndarray, int]:
-        """sum for the columns cols of the array sig at each level of
-        levels, as a (levels x cols) array: per level, the matrix of
-        exponentials exp((sigma - 1) log x) of every sigma of sig against v.
-        A level whose matrix fits in _TILE entries takes it from _exp_level,
-        kept process-wide; a deeper one builds it in blocks (_exp_rows) for
-        the columns cols alone."""
-        kept, sig_bytes = self.levels(levels.stop), sig.tobytes()
-        rows, count = [], 0
-        for level in levels:
-            x, v = kept[level]
-            count += x.size
-            if sig.size * x.size <= _TILE:
-                rows.append(_dot(_exp_level(self.key, sig_bytes, level), v)[cols])
-            else:
-                rows.append(_exp_rows(sig[cols] - 1.0, np.log(x), v))
-        return np.array(rows), count
 
 
 class _Cell:
@@ -503,18 +499,19 @@ class _Cell:
         return EvalResult(complex(fsum(re), fsum(im)),
                           err + 8.0 * _EPS * fsum(mag), Method.SERIES)
 
-    def _series_batch(self, sig: np.ndarray) -> list[EvalResult | None]:
+    def _series_batch(self, sig: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """series for sigma in (-1, 0), the first chunk's terms as one
-        (sigma x n) matrix; None throughout when that chunk misses tol."""
+        (sigma x n) matrix: the values and estimates as arrays, or None
+        when that chunk misses tol."""
         zn, na = self._first_chunk
         bound = self._tail_bound(-1.0, na.size)   # >= the bound of each sigma
         if not bound <= self.tol:
-            return [None] * sig.size
+            return None
         v = np.stack((zn.real, zn.imag, np.abs(zn)))
         re, im, mag = _exp_rows(-sig, np.log(na), v)
-        err = bound + 8.0 * _EPS * mag
-        return [EvalResult(complex(r, i), e, Method.SERIES)
-                for r, i, e in zip(re.tolist(), im.tolist(), err.tolist())]
+        value = re.astype(complex)
+        value.imag = im
+        return value, bound + 8.0 * _EPS * mag
 
     # -- integral ----------------------------------------------------------
 
@@ -538,12 +535,68 @@ class _Cell:
                       else lambda x: _gz_near(a, zz, x)),
                 _Rule(("es",), lambda x: np.exp(-a * x) / (1.0 - zz * np.exp(-x))))
 
+    def _columns(self, sig: np.ndarray, scales: tuple[float, float],
+                 tol: float) -> list[QuadResult]:
+        """_refine's level loop for every sigma of the array sig and both
+        rules, with scales their step factors: a column per (rule, sigma),
+        and per rule a QuadResult whose value, err and levels are arrays
+        over sig.  Each rule's prefix levels are one product: their joined
+        v times the kept matrix of exponentials (_prefix_exp), reduced per
+        level and summed over the levels, so every estimate of the prefix
+        is at hand.  The estimates of both rules are one (rule, sigma,
+        level) array, the shorter tanh-sinh prefix padded with nan, which
+        passes no test, and each column's stop, the first level from
+        _FIRST_TEST on whose estimate is within tol of the one before, is
+        read off after the fact.  Only the columns without one go on, one
+        level at a time (_exp_rows), up to _MAX_LEVELS.  The running sums
+        add the levels in order, as _refine does, and err has _refine's
+        floor of 4 eps |value|."""
+        n, depth = sig.size, max(_PREFIX.values())
+        prefixes = [rule.levels(_PREFIX[rule.key[0]])[:_PREFIX[rule.key[0]]]
+                    for rule in self._rules]
+        vs = [np.concatenate([v for _, v in levels]) for levels in prefixes]
+        running = np.full((2, n, depth), math.nan, dtype=np.result_type(*vs))
+        for r, (rule, v) in enumerate(zip(self._rules, vs)):
+            step = max(1, _TILE // v.size)
+            for i in range(0, n, step):
+                e, starts = _prefix_exp(rule.key, sig[i:i + step].tobytes())
+                np.add.reduceat(e * v, starts, axis=1,
+                                out=running[r, i:i + step, :starts.size])
+        np.add.accumulate(running, axis=2, out=running)
+        est = running * np.multiply.outer(scales, 0.5 ** np.arange(depth))[:, None]
+        # each column stops at its first level from _FIRST_TEST on that passes
+        # the test; where none does, the levels past the prefix give its
+        # value, err and level
+        diff = np.abs(est[..., 1:] - est[..., :-1])
+        passes = diff[..., _FIRST_TEST - 1:] <= tol
+        first, at = passes.argmax(axis=2), (np.arange(2)[:, None], np.arange(n))
+        levels = first + _FIRST_TEST
+        value, err = est[(*at, levels)], diff[(*at, levels - 1)]
+        going = ~passes[(*at, first)]
+        evals = [v.size for v in vs]
+        for r, rule in enumerate(self._rules if going.any() else ()):
+            top, cols = _PREFIX[rule.key[0]] - 1, np.flatnonzero(going[r])
+            run, prev = running[r, cols, top], est[r, cols, top]
+            for level in range(top + 1, _MAX_LEVELS + 1):
+                if not cols.size:
+                    break
+                x, level_v = rule.levels(level + 1)[level]
+                evals[r] += x.size
+                run = run + _exp_rows(sig[cols] - 1.0, np.log(x), level_v)
+                cur = run * (scales[r] * 0.5 ** level)
+                value[r, cols], err[r, cols], levels[r, cols] = cur, np.abs(cur - prev), level
+                on = ~(err[r, cols] <= tol)
+                cols, run, prev = cols[on], run[on], cur[on]
+        err = np.maximum(err, 4.0 * _EPS * np.abs(value))
+        return [QuadResult(value=value[r], err=err[r], levels=levels[r], evals=evals[r])
+                for r in (0, 1)]
+
     def integral(self, sigma: float | np.ndarray
-                 ) -> EvalResult | list[EvalResult | None]:
+                 ) -> EvalResult | tuple[np.ndarray, np.ndarray]:
         """phi_integral, for a float sigma.  sigma may also be an array of
         sigma of one sign: then the level sums run as columns, each
-        stopping at its own level, and the result is a list with one
-        EvalResult per sigma, None where a value or estimate is not finite.
+        stopping at its own level (_columns), and the result is the
+        values and estimates as arrays, unchecked for finiteness.
         Everything else is one expression for both."""
         a, z, s = self.a, self.z, _SPLIT
         many = isinstance(sigma, np.ndarray)
@@ -583,10 +636,11 @@ class _Cell:
             head = np.einsum("...j,j->...", powers, c[1:])
             # the level loops of tanh_sinh on [delta, 1] and exp_sinh on [1, inf)
             # (the only two-way step: one sigma, or the columns of many)
+            scales = (0.5 * (s - delta), 1.0)
             mid, tail = (
-                _refine(functools.partial(rule.sums if many else rule.sum, sigma),
-                        scale, qtol, _MAX_LEVELS, sigma.size if many else None)
-                for rule, scale in zip(self._rules, (0.5 * (s - delta), 1.0)))
+                self._columns(sigma, scales, qtol) if many else
+                [_refine(functools.partial(rule.sum, sigma), scale, qtol, _MAX_LEVELS)
+                 for rule, scale in zip(self._rules, scales)])
             value = (head + mid.value + tail.value + corr) / gam
             if z.imag == 0.0:
                 value = value.real + 0.0j
@@ -595,12 +649,10 @@ class _Cell:
                                      + abs(tail.value) + abs(corr))
             err = ((head_err + mid.err + tail.err + rounding) / abs(gam)
                    + 8.0 * _EPS * abs(value))
+        if many:
+            return value, err
         method = (Method.INTEGRAL_UNIT if z != 1 and _is_unit(z) else
                   Method.INTEGRAL_NEG if hi < 0.0 else Method.INTEGRAL_POS)
-        if many:
-            return [EvalResult(v, e, method)
-                    if cmath.isfinite(v) and math.isfinite(e) else None
-                    for v, e in zip(value.tolist(), err.tolist())]
         if not (cmath.isfinite(value) and math.isfinite(err)):
             raise DomainError(f"Phi({sigma}, {a}, {z}) by the integral route "
                               "exceeds the binary64 range")
@@ -645,25 +697,34 @@ class _Cell:
                 f"Phi({sigma}, {a}, {z}) misses tol = {self.tol:g}")
         return res
 
-    def batch(self, sigmas) -> list[EvalResult]:
-        """[self(s) for s in sigmas], with the sigma in (-1, 0) in one vector
+    def batch(self, sigmas) -> tuple[np.ndarray, np.ndarray]:
+        """The values and estimates of [self(s) for s in sigmas], as a
+        complex and a float array, with the sigma in (-1, 0) in one vector
         pass of the route that evaluate's rule (_takes_series) picks for
-        them.  Any other sigma, and a sigma whose vector value or estimate
-        is not finite or misses tol, or whose series first chunk misses tol,
-        takes the scalar call, so a batch raises only what a scalar call of
-        one of its sigma raises.  The values agree with the scalar calls
-        within their estimates, not bit for bit (module docstring, "Reuse
-        per (a, z)")."""
+        them, which there depends on z alone.  Any other sigma, and a sigma
+        whose vector value or estimate is not finite or misses tol, or whose
+        series first chunk misses tol, takes the scalar call, so a batch
+        raises only what a scalar call of one of its sigma raises.  The
+        values agree with the scalar calls within their estimates, not bit
+        for bit (module docstring, "Reuse per (a, z)")."""
         sig = np.asarray(sigmas, dtype=float)
-        out: list[EvalResult | None] = [None] * sig.size
-        inner = np.flatnonzero((-1.0 < sig) & (sig < 0.0))
-        series = self._takes_series(sig[inner])
-        for pick, route in ((series, self._series_batch), (~series, self.integral)):
-            if pick.any():
-                for i, res in zip(inner[pick].tolist(), route(sig[inner[pick]])):
-                    out[i] = res
-        return [res if res is not None and self._meets_tol(res) else self(s)
-                for s, res in zip(sig.tolist(), out)]
+        inner = (-1.0 < sig) & (sig < 0.0)
+        # on (-1, 0) evaluate's rule depends on z alone: one route for all
+        route = self._series_batch if self._takes_series(-0.5) else self.integral
+        out = route(sig[inner]) if inner.any() else None
+        if out is not None and inner.all():
+            value, err = out
+        else:
+            value = np.full(sig.size, complex(math.nan))
+            err = np.full(sig.size, math.nan)
+            if out is not None:
+                value[inner], err[inner] = out
+        # _meets_tol: err <= max(tol, tol |value|)
+        served = np.isfinite(value) & (err <= self.tol * np.maximum(1.0, np.abs(value)))
+        for i in np.flatnonzero(~served).tolist():
+            res = self(sig[i].item())
+            value[i], err[i] = res.value, res.abs_err_estimate
+        return value, err
 
 
 # --------------------------------------------------------------------------

@@ -9,12 +9,10 @@ few ulps of the result, and is an estimate rather than a rigorous bound.
 
 Each rule is a node table per level (_ts_table on [a, b], _es_table on
 [a, inf)) and the level loop _refine, which asks for the weighted sum of a
-level by number; a caller with many integrands on one interval keeps
-per-level arrays of its own, and _refine can run such integrands side by
-side, each column stopping at its own level.  No level before the third
-can stop the loop, so the column form asks for levels 0 to 3 in one request
-and the caller can sample and sum them as one block; from there it asks one
-level at a time.
+level by number, from 0 up, and stops at the first level from _FIRST_TEST
+on whose estimate is within tol of the one before.  A caller with many
+integrands on one interval keeps per-level arrays of its own and applies
+the same rule to each of them (the evaluate module's _Cell._columns).
 
 The node tables are kept process-wide: the level nodes in the transformed
 variable once per level, and their image on an interval in a cache of
@@ -130,27 +128,14 @@ def _es_table(a: float, level: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(a + offset, w)
 
 
-def _refine(level_sum: Callable[..., tuple], scale: float, tol: float,
-            max_levels: int, width: int | None = None) -> QuadResult:
+def _refine(level_sum: Callable[[int], tuple], scale: float, tol: float,
+            max_levels: int) -> QuadResult:
     """The level loop both rules share.  level_sum(level) returns the
     weighted integrand sum over the new nodes of that level, their count,
     and a bound on the rounding of its terms beyond the sum's own (0.0 when
     each term is one product); the estimate at step h = 2^-level is scale *
     h times the running sum, and its err adds scale * h times the running
-    bound.  The first test of the level difference is at level _FIRST_TEST.
-
-    With width, there are that many integrands side by side, one per column:
-    level_sum(levels, cols) returns the sums of the columns cols (an index
-    array) at each level of the range levels, as a (levels x cols) array,
-    and the count of their nodes.  The first request is the prefix, levels
-    0 to _FIRST_TEST, which every column sums; from there one level at a
-    time.  The running sums add the levels one by one in order, so each
-    column stops at the first level at which it would stop alone, with its
-    value and estimate, and the loop ends when every column has stopped.
-    The result's value and err are then arrays over the columns, and levels
-    and evals are those of the column that ran deepest."""
-    if width is not None:
-        return _refine_columns(level_sum, scale, tol, max_levels, width)
+    bound.  The first test of the level difference is at level _FIRST_TEST."""
     running = 0.0 + 0.0j
     slack = 0.0
     prev = None
@@ -172,36 +157,6 @@ def _refine(level_sum: Callable[..., tuple], scale: float, tol: float,
     err = max(err, 4.0 * _EPS * abs(value)) + slack * (2.0 ** (-level) * scale)
     return QuadResult(value=complex(value), err=float(err),
                       levels=level, evals=evals)
-
-
-def _refine_columns(level_sum, scale, tol, max_levels, width) -> QuadResult:
-    """_refine with width: the same rule, column by column."""
-    running = np.zeros(width, dtype=complex)
-    value = np.zeros(width, dtype=complex)
-    err = np.full(width, math.inf)
-    cols = np.arange(width)
-    evals = 0
-    lo, hi = 0, min(_FIRST_TEST, max_levels)
-    while True:
-        totals, count = level_sum(range(lo, hi + 1), cols)
-        evals += count
-        # the running sums add the levels one by one, as each column's own
-        # loop does; only the last two estimates are kept
-        run = running[cols]
-        for total in totals[:-1]:
-            run += total
-        prev = run * (2.0 ** (1 - hi) * scale) if hi > lo else value[cols]
-        run += totals[-1]
-        running[cols] = run
-        value[cols] = cur = run * (2.0 ** (-hi) * scale)
-        if hi >= _FIRST_TEST:
-            err[cols] = np.abs(cur - prev)
-            cols = cols[~(err[cols] <= tol)]
-        if cols.size == 0 or hi == max_levels:
-            break
-        lo = hi = hi + 1
-    err = np.maximum(err, 4.0 * _EPS * np.abs(value))
-    return QuadResult(value=value, err=err, levels=hi, evals=evals)
 
 
 def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

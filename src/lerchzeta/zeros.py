@@ -29,15 +29,17 @@ per-(a, z) object of the evaluate module, so the coefficient tables, the
 kernel samples and the series powers of its (a, z) are built once for all
 its sigma.  The proxy's nodes of a cell, and the nine sigma of
 check_case3, go through that object's vector call in one pass, which
-samples the quadrature levels 0-3 in one kernel call before it goes on
-level by level; those values agree with a fresh evaluate per sigma within
-the error estimates, not bit for bit.  What depends on neither a nor z is
-kept by the evaluate and quadrature modules for the whole process, bounded
-and keyed by the values it is built from (the evaluate module docstring,
-"Kept process-wide"): the node tables per interval and level (32 per
-interval), and, per set of sigma, the matrices exp((sigma - 1) log x) of
-each level of at most 4096 entries and Gamma(sigma) with the head's powers
-of delta (32 of each).  At z = +-1 every cell has the same interval and the
+samples the prefix of each quadrature rule (tanh-sinh levels 0-4,
+exp-sinh levels 0-5) in one kernel call, sums it as one matrix product
+and goes on level by level only for the sigma that need more; it returns
+the values and estimates as two arrays, which agree with a fresh evaluate
+per sigma within the error estimates, not bit for bit.  What depends on
+neither a nor z is kept by the evaluate and quadrature modules for the
+whole process, bounded and keyed by the values it is built from (the
+evaluate module docstring, "Kept process-wide"): the node tables per
+interval and level (32 per interval), and, per set of sigma, the matrices
+exp((sigma - 1) log x) over each rule's prefix nodes (32 per rule) and
+Gamma(sigma) with the head's powers of delta (32).  At z = +-1 every cell has the same interval and the
 same 15 proxy nodes, so a census over a builds these once.  The polish and
 the residuals evaluate one sigma at a time through the scalar call, which
 finds the levels the vector call kept and gives the bits of a fresh
@@ -181,6 +183,19 @@ def _cheb_table(n: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _proxy_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of degree n that the degree before lacks (at _PROXY_MIN,
+    all but the two ends; past it, the odd k), as a mask over k = 0..n and
+    as sigma_k = (cos(pi k/n) - 1)/2; built once per degree, read-only."""
+    k = np.arange(n + 1)
+    new = k % (n if n == _PROXY_MIN else 2) != 0
+    sigmas = 0.5 * (np.cos(k[new] * (np.pi / n)) - 1.0)
+    for array in (new, sigmas):
+        array.flags.writeable = False
+    return new, sigmas
+
+
 def _clenshaw(c, x: float) -> float:
     """sum_j c_j T_j(x)."""
     b1 = b2 = 0.0
@@ -231,14 +246,13 @@ def _proxy(cell: _Cell, phi_m1: float, phi_0: float) -> tuple[list[float], float
     """
     vals, err, n = np.array([phi_0, phi_m1]), 0.0, _PROXY_MIN
     while True:
-        k = np.arange(n + 1)
-        new = k % (n // (vals.size - 1)) != 0
-        res = cell.batch(0.5 * (np.cos(k[new] * (np.pi / n)) - 1.0))
+        new, sigmas = _proxy_nodes(n)
+        values, errs = cell.batch(sigmas)
         full = np.empty(n + 1)
         full[~new] = vals
-        full[new] = [r.value.real for r in res]
+        full[new] = values.real
         vals = full
-        err = max([err] + [r.abs_err_estimate for r in res])
+        err = max(err, errs.max())
         c = np.einsum("jk,k->j", _cheb_table(n), vals)
         tail = abs(c[-2]) + abs(c[-1])
         if n == _PROXY_MAX or tail <= cell.tol * max(1.0, np.abs(vals).max()):
@@ -261,8 +275,8 @@ def scan_zeros(a: float, z: float, tol: float = 1e-10) -> ZeroReport:
     z must be real (Phi is real-valued there); non-real z never has real
     zeros on (-1,0) and belongs to check_case3.  Phi(., a, z) is replaced
     by a Chebyshev proxy p on [-1, 0] (_proxy: degree 16 unless its
-    coefficients ask for more, the 15 nodes inside (-1, 0) in one vector
-    call) with error bound E.
+    coefficients ask for more, the values and estimates at the 15 nodes
+    inside (-1, 0) from one vector call) with error bound E.
     The sign of p is scanned on 2049 equally spaced sigma, with the exact
     closed forms at sigma = -1 and 0 as the end signs, so a crossing is
     forced whenever they disagree; exact zeros (possible only for the
@@ -390,7 +404,8 @@ def check_case3(a: float, r: float, theta: float,
     Phi at sigma = -0.9, -0.8, ..., -0.1 and demands that Im Phi keeps one
     sign and exceeds its error estimate everywhere.  Returns min |Im Phi|;
     raises SignConstancyError on any violation.  Each value is evaluated
-    to tol, all nine in one vector call of one per-(a, z) object.
+    to tol, all nine in one vector call of one per-(a, z) object, whose
+    values and estimates are read as arrays.
     """
     a = _check_a(a)
     r = float(r)
@@ -402,15 +417,13 @@ def check_case3(a: float, r: float, theta: float,
     if abs(math.sin(theta)) < 1e-12:
         raise DomainError("theta gives a real z; use scan_zeros")
     z = complex(r * math.cos(theta), r * math.sin(theta))
-    cell = _Cell(a, z, tol)
-    ims: list[float] = []
-    for sig, res in zip(_CASE3_SIGMAS, cell.batch(_CASE3_SIGMAS)):
-        im = res.value.imag
-        if abs(im) <= res.abs_err_estimate:
+    values, errs = _Cell(a, z, tol).batch(_CASE3_SIGMAS)
+    ims = values.imag.tolist()
+    for sig, im, err in zip(_CASE3_SIGMAS.tolist(), ims, errs.tolist()):
+        if abs(im) <= err:
             raise SignConstancyError(
                 f"|Im Phi({sig},{a},{z})| = {abs(im):.3e} does not exceed "
-                f"its error estimate {res.abs_err_estimate:.3e}")
-        ims.append(im)
+                f"its error estimate {err:.3e}")
     signs = {math.copysign(1.0, v) for v in ims}
     if len(signs) != 1:
         raise SignConstancyError(

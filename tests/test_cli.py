@@ -146,20 +146,20 @@ class TestScan:
         first = lines[1].split(",")
         assert first[3] == "ZeroExists" and int(first[4]) >= 1
 
-    def test_reference_scan_matches_committed_csv(self, capsys, tmp_path):
-        # tests/data/reference_scan_z1_zm1.csv is the CSV of
-        # lerch scan --a-min 0.01 --a-max 1 --a-step 0.01 --z=1,-1 as
-        # committed: every row keeps its verdict and n_brackets, and each
-        # root stays within tol of the committed one
+    @staticmethod
+    def _matches_reference(capsys, tmp_path, zspec, name, n_rows):
+        """lerch scan --a-min 0.01 --a-max 1 --a-step 0.01 --z=zspec against
+        the committed CSV tests/data/name: every row keeps its verdict and
+        n_brackets, and each root stays within tol of the committed one."""
         out = tmp_path / "reference.csv"
         assert main(["scan", "--a-min", "0.01", "--a-max", "1", "--a-step",
-                     "0.01", "--z=1,-1", "--out", str(out)]) == 0
+                     "0.01", f"--z={zspec}", "--out", str(out)]) == 0
         capsys.readouterr()
-        with open(DATA / "reference_scan_z1_zm1.csv", newline="") as fh:
+        with open(DATA / name, newline="") as fh:
             ref = list(csv.DictReader(fh))
         with open(out, newline="") as fh:
             new = list(csv.DictReader(fh))
-        assert len(ref) == len(new) == 200
+        assert len(ref) == len(new) == n_rows
         for old, row in zip(ref, new):
             keys = ("a", "z_re", "z_im", "verdict", "n_brackets")
             assert [row[k] for k in keys] == [old[k] for k in keys], row
@@ -168,6 +168,18 @@ class TestScan:
             assert len(roots) == len(old_roots) == int(row["n_brackets"])
             for root, old_root in zip(roots, old_roots):
                 assert abs(root - old_root) < 1e-10, row
+
+    def test_reference_scan_matches_committed_csv(self, capsys, tmp_path):
+        # z = 1 and -1: the tanh-sinh rule on [1/4, 1] and the integral
+        # route in every cell
+        self._matches_reference(capsys, tmp_path, "1,-1",
+                                "reference_scan_z1_zm1.csv", 200)
+
+    def test_reference_scan_of_real_z_matches_committed_csv(self, capsys, tmp_path):
+        # z = 0.95 puts the tanh-sinh rule on [delta, 1] with delta = 0.018,
+        # and z = +-0.5 the cells on the series route
+        self._matches_reference(capsys, tmp_path, "0.95,-0.5,0.5,-0.95",
+                                "reference_scan_reals.csv", 400)
 
     def test_nonreal_z_rows(self, capsys, tmp_path):
         out = tmp_path / "unit.csv"

@@ -3,6 +3,7 @@ representations and the dispatcher.  Frozen references come from 50-digit
 mpmath runs (zeta/lerchphi); classical constants are written as formulas.
 """
 import cmath
+import functools
 import importlib
 import math
 import time
@@ -18,9 +19,9 @@ from lerchzeta import (ConditioningError, DomainError, LerchZetaError,
 
 _EVALUATE = importlib.import_module("lerchzeta.evaluate")   # the module
 _QUADRATURE = importlib.import_module("lerchzeta.quadrature")
-# the process-wide caches of node tables and sigma terms
+# the process-wide caches of node tables, prefix exponentials and sigma terms
 _CACHES = (_QUADRATURE._ts_table, _QUADRATURE._es_table,
-           _EVALUATE._exp_level, _EVALUATE._sigma_table)
+           _EVALUATE._prefix_exp, _EVALUATE._sigma_table)
 
 
 def _clear_caches():
@@ -456,6 +457,13 @@ def _hex(call):
             r.method)
 
 
+def _batch_hex(batch):
+    """(value, estimate) of each sigma of a batch, in hex."""
+    values, estimates = batch
+    return [(v.real.hex(), v.imag.hex(), e.hex())
+            for v, e in zip(values.tolist(), estimates.tolist())]
+
+
 class TestCellReuse:
     @pytest.mark.parametrize("z, a", [
         (1.0, 0.1), (-1.0, 0.37), (0.95, 0.62), (0.5, 0.9), (-0.3, 0.05),
@@ -490,20 +498,19 @@ class TestCellReuse:
                                  rng.uniform(-1.0, 0.0, 30)])
         for tol in (1e-10, 1e-6):
             cell = _EVALUATE._Cell(a, z, tol)
-            batch = cell.batch(sigmas)
-            assert len(batch) == sigmas.size
-            for sigma, res in zip(sigmas.tolist(), batch):
+            values, estimates = cell.batch(sigmas)
+            assert values.dtype == complex and estimates.dtype == float
+            assert values.shape == estimates.shape == sigmas.shape
+            for sigma, value, est in zip(sigmas.tolist(), values.tolist(),
+                                         estimates.tolist()):
                 ref = evaluate(sigma, a, z, tol)
-                assert type(res.value) is complex
-                assert type(res.abs_err_estimate) is float
-                assert res.method is ref.method
-                assert (abs(res.value - ref.value)
-                        <= res.abs_err_estimate + ref.abs_err_estimate), (sigma, tol)
+                assert abs(value - ref.value) <= est + ref.abs_err_estimate, (sigma, tol)
+                # batch sends (-1, 0) down one route, picked at sigma = -0.5
+                assert cell._takes_series(-0.5) == (ref.method is Method.SERIES), sigma
                 if isinstance(z, float):
-                    assert res.value.imag == 0.0
-            edges = cell.batch([0.0, -1.0])
-            assert [_hex(lambda: r) for r in edges] == [
-                _hex(lambda: evaluate(s, a, z, tol)) for s in (0.0, -1.0)]
+                    assert value.imag == 0.0
+            assert _batch_hex(cell.batch([0.0, -1.0])) == [
+                _hex(lambda: evaluate(s, a, z, tol))[:3] for s in (0.0, -1.0)]
             with pytest.raises(DomainError):
                 cell.batch([-0.5, -1.5])
 
@@ -512,9 +519,10 @@ class TestCellReuse:
                              ids=["one", "minus_one", "z0.95", "z0.5", "unit",
                                   "z0.6+0.7i"])
     def test_batch_built_levels_give_scalar_bits(self, z):
-        # a batch builds levels 0-3 of both rules in one kernel call on their
-        # joined nodes, a fresh scalar call one level at a time: the scalar
-        # calls that then find the batch's levels give a fresh call's bits
+        # a batch builds the prefix levels of each rule (tanh-sinh 0-4,
+        # exp-sinh 0-5) in one kernel call on their joined nodes, a fresh
+        # scalar call one level at a time: the scalar calls that then find
+        # the batch's levels give a fresh call's bits
         rng = np.random.default_rng(20)
         for a in (0.1, 0.37, 0.62, 0.9):
             cell = _EVALUATE._Cell(a, z, 1e-10)
@@ -528,21 +536,20 @@ class TestCellReuse:
     @pytest.mark.parametrize("z", [1.0, -1.0, cmath.exp(1j)],
                              ids=["one", "minus_one", "unit"])
     def test_later_batch_matches_fresh_batch_bit_for_bit(self, z):
-        # a batch on an object that already keeps levels past 3, from an
-        # earlier batch or from scalar calls, sums the levels it asks for
-        # and no others: it gives the bits of a fresh object's batch
+        # a batch on an object that already keeps levels, from an earlier
+        # batch or built one at a time by scalar calls, sums the levels it
+        # asks for and no others: it gives the bits of a fresh object's batch
         first, later = np.linspace(-0.95, -0.05, 15), np.linspace(-0.9, -0.1, 9)
         for a in (0.1, 0.43):
-            fresh = [_hex(lambda: r)
-                     for r in _EVALUATE._Cell(a, z, 1e-10).batch(later)]
+            fresh = _batch_hex(_EVALUATE._Cell(a, z, 1e-10).batch(later))
             after_batch = _EVALUATE._Cell(a, z, 1e-10)
             after_batch.batch(first)
             after_scalar = _EVALUATE._Cell(a, z, 1e-10)
             for sigma in (-0.3, 0.4, -0.8):
                 after_scalar(sigma)
             for cell in (after_batch, after_scalar):
-                assert max(len(rule.kept) for rule in cell._rules) > 4
-                assert [_hex(lambda: r) for r in cell.batch(later)] == fresh, a
+                assert min(len(rule.kept) for rule in cell._rules) >= 4
+                assert _batch_hex(cell.batch(later)) == fresh, a
 
     @pytest.mark.parametrize("z, a", [(1.0, 0.1), (-1.0, 0.37), (cmath.exp(1j), 0.43)],
                              ids=["one", "minus_one", "unit"])
@@ -565,16 +572,17 @@ class TestCellReuse:
     @pytest.mark.parametrize("z", [1.0, -1.0, 0.95, cmath.exp(1j)],
                              ids=["one", "minus_one", "z0.95", "unit"])
     def test_batch_bits_do_not_depend_on_the_caches(self, z):
-        # the node tables, the matrices of exponentials and the sigma-only
-        # terms are kept process-wide and filled by the same expressions,
-        # so a batch has the same bits with the caches cleared and warm
+        # the node tables, the prefix matrices of exponentials and the
+        # sigma-only terms are kept process-wide and filled by the same
+        # expressions, so a batch has the same bits with the caches cleared
+        # and warm
         runs = [(a, sigmas) for a in (0.1, 0.62)
                 for sigmas in (np.linspace(-0.95, -0.05, 15),
                                np.linspace(-0.9, -0.1, 9),
                                np.linspace(-0.97, -0.03, 15))]
 
         def batch(a, sigmas):
-            return [_hex(lambda: r) for r in _EVALUATE._Cell(a, z, 1e-10).batch(sigmas)]
+            return _batch_hex(_EVALUATE._Cell(a, z, 1e-10).batch(sigmas))
 
         cold = []
         for a, sigmas in runs:
@@ -585,8 +593,12 @@ class TestCellReuse:
 
     def test_caches_stay_within_their_bounds(self):
         # cells at 100 distinct delta = 0.35 |log z| each put new tanh-sinh
-        # tables and matrices in the caches; none grows past its bound
+        # tables and prefix matrices in the caches; none grows past its
+        # bound, and the exp-sinh matrix of their sigma is built once for all
         sigmas = np.linspace(-0.95, -0.05, 15)
+        _clear_caches()
+        _EVALUATE._prefix_exp(("es",), sigmas.tobytes())
+        es_misses = _EVALUATE._prefix_exp.cache_info().misses
         for theta in np.linspace(0.05, 0.7, 100).tolist():
             cell = _EVALUATE._Cell(0.3, cmath.exp(1j * theta), 1e-10)
             cell.batch(sigmas)
@@ -595,17 +607,54 @@ class TestCellReuse:
             info = cache.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize, cache
         assert _QUADRATURE._ts_table.cache_info().currsize == _QUADRATURE._TABLES
+        assert _EVALUATE._prefix_exp.cache_info().currsize == _EVALUATE._MEMO
+        # one tanh-sinh miss per cell: the exp-sinh matrix stays in the cache
+        assert _EVALUATE._prefix_exp.cache_info().misses - es_misses == 100
 
     def test_cached_arrays_are_read_only(self):
         sigmas = np.linspace(-0.95, -0.05, 15)
         arrays = [*_QUADRATURE._ts_level_nodes(3), *_QUADRATURE._es_level_nodes(3),
                   *_QUADRATURE._ts_table(0.25, 1.0, 3), *_QUADRATURE._es_table(1.0, 3),
-                  _EVALUATE._exp_level(("es",), sigmas.tobytes(), 3),
+                  *_EVALUATE._prefix_exp(("ts", 0.25), sigmas.tobytes()),
+                  *_EVALUATE._prefix_exp(("es",), sigmas.tobytes()),
                   *_EVALUATE._sigma_table(sigmas.tobytes(), 0.25, 30)]
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    @pytest.mark.parametrize("z", [1.0, -1.0, cmath.exp(1j)],
+                             ids=["one", "minus_one", "unit"])
+    def test_columns_continue_past_the_prefix(self, z):
+        # at tol = 1e-13 the exp-sinh columns of small a run past the prefix
+        # (levels 0-5): every column of both rules stops at the level of the
+        # scalar level loop and of a batch of its sigma alone, with the
+        # value of the latter within 4 ulps, and the batch agrees with the
+        # scalar calls within their estimates
+        tol, sigmas = 1e-13, np.linspace(-0.95, -0.05, 15)
+        past = 0
+        for a in (0.05, 0.1, 0.62):
+            cell = _EVALUATE._Cell(a, z, tol)
+            scales = (0.5 * (1.0 - cell._head[1]), 1.0)
+            both = cell._columns(sigmas, scales, 0.25 * tol)
+            alones = [cell._columns(sigmas[i:i + 1], scales, 0.25 * tol)
+                      for i in range(sigmas.size)]
+            for r, (rule, scale, res) in enumerate(zip(cell._rules, scales, both)):
+                for i, sigma in enumerate(sigmas.tolist()):
+                    alone = alones[i][r]
+                    scalar = _QUADRATURE._refine(
+                        functools.partial(rule.sum, sigma), scale, 0.25 * tol,
+                        _EVALUATE._MAX_LEVELS)
+                    assert res.levels[i] == alone.levels[0] == scalar.levels, (a, sigma)
+                    assert (abs(res.value[i] - alone.value[0])
+                            <= 4.0 * np.spacing(abs(alone.value[0]))), (a, sigma)
+                past += np.count_nonzero(res.levels >= _EVALUATE._PREFIX[rule.key[0]])
+            values, estimates = cell.batch(sigmas)
+            for sigma, value, est in zip(sigmas.tolist(), values.tolist(),
+                                         estimates.tolist()):
+                ref = evaluate(sigma, a, z, tol)
+                assert abs(value - ref.value) <= est + ref.abs_err_estimate, (a, sigma)
+        assert past >= 10
 
     def test_batch_refuses_where_scalar_refuses(self):
         cell = _EVALUATE._Cell(0.3, 0.9995, 1e-10)

@@ -99,48 +99,3 @@ class TestRefine:
             res = rule()
             assert len(calls) == res.levels + 1
             assert sum(calls) == res.evals
-
-    def test_columns_stop_at_their_own_level(self):
-        # integrands side by side, the estimate at level L being 1 + r^L for
-        # column rate r: each column keeps the value and estimate of its
-        # scalar loop, levels 0-3 come in one request, and deeper levels
-        # are summed only for the columns still refining
-        rates = np.array([0.9, 0.3, 0.1, 0.0])
-
-        def total(rate, level):
-            def running(lv):   # 2^lv times the estimate, at scale 1
-                return 2.0 ** lv * (1.0 + rate ** lv)
-            return running(level) - (running(level - 1) if level else 0.0)
-
-        asked = []
-
-        def level_sum(levels, cols):
-            asked.append((list(levels), cols.tolist()))
-            return np.array([[total(r, lv) for r in rates[cols]]
-                             for lv in levels]), 1
-
-        res = _refine(level_sum, 1.0, 1e-4, 11, rates.size)
-        alone = [_refine(lambda level: (total(r, level), 1, 0.0), 1.0, 1e-4, 11)
-                 for r in rates]
-        assert [a.levels for a in alone] == [11, 9, 5, 3]
-        assert asked[0] == ([0, 1, 2, 3], [0, 1, 2, 3])
-        assert all(len(levels) == 1 for levels, _ in asked[1:])
-        for col, one in enumerate(alone):
-            assert res.value[col] == one.value
-            assert res.err[col] == one.err
-            summed = [lv for levels, cols in asked if col in cols
-                      for lv in levels]
-            assert summed == list(range(one.levels + 1))
-        assert res.levels == 11 and len(asked) == 1 + 11 - 3
-
-    def test_prefix_capped_by_max_levels(self):
-        # a cap below the first test level: one request, no test, err inf
-        asked = []
-
-        def level_sum(levels, cols):
-            asked.append(list(levels))
-            return np.ones((len(levels), cols.size)), 1
-
-        res = _refine(level_sum, 1.0, 1.0, 2, 3)
-        assert asked == [[0, 1, 2]] and res.levels == 2
-        assert np.all(res.err == np.inf)

@@ -109,7 +109,8 @@ class TestScanZeros:
     def test_coefficients_built_once_per_cell(self, monkeypatch):
         # one per-(a, z) object per cell: the head table once, and at z = 1
         # one more h_series_coeffs per kernel_G call, which samples the
-        # tanh-sinh levels 0-3 in one call and each deeper level in its own
+        # tanh-sinh prefix, levels 0-4, in one call and each deeper level in
+        # its own
         evaluate_mod = importlib.import_module("lerchzeta.evaluate")
         kernels = importlib.import_module("lerchzeta.kernels")
         calls = Counter()
@@ -132,7 +133,7 @@ class TestScanZeros:
             monkeypatch.setattr(quadrature, name, counted_level)
 
         def past_prefix():   # tanh-sinh levels sampled one by one
-            return max(levels["_ts_level_nodes"]) - 3
+            return max(levels["_ts_level_nodes"]) - 4
 
         for z, expected in (
                 (1.0, lambda past: Counter(h_series_coeffs=1 + 1 + past)),
@@ -220,7 +221,6 @@ class TestScanZeros:
 
         def phi(sigma):
             return (sigma - r0) * math.exp(sigma)
-
         class Offset:
             def __init__(self, a, z, tol):
                 self.tol = tol
@@ -231,10 +231,10 @@ class TestScanZeros:
                                        abs_err_estimate=1e-12)
 
             def batch(self, sigmas):
-                return [SimpleNamespace(
-                            value=complex(phi(s) - 1e-6 * math.sin(math.pi * s)),
-                            abs_err_estimate=2e-6)
-                        for s in np.asarray(sigmas).tolist()]
+                s = np.asarray(sigmas).tolist()
+                return (np.array([complex(phi(x) - 1e-6 * math.sin(math.pi * x))
+                                  for x in s]),
+                        np.full(len(s), 2e-6))
 
         scalar_calls = []
         monkeypatch.setattr(zeros_mod, "_Cell", Offset)
@@ -286,7 +286,8 @@ class TestScanZeros:
                                        abs_err_estimate=0.0)
 
             def batch(self, sigmas):
-                return [self(s) for s in np.asarray(sigmas).tolist()]
+                s = np.asarray(sigmas).tolist()
+                return np.array([complex(phi(x)) for x in s]), np.zeros(len(s))
 
         monkeypatch.setattr(zeros_mod, "_Cell", TwoRoots)
         monkeypatch.setattr(zeros_mod, "special_value",
@@ -328,7 +329,7 @@ def _grid_roots(a, z, tol):
     interior = -1.0 + 0.0025 + 0.005 * np.arange(199)
     sigmas = [-1.0] + interior.tolist() + [0.0]
     values = ([special_value(-1, a, z).real]
-              + [r.value.real for r in cell.batch(interior)]
+              + cell.batch(interior)[0].real.tolist()
               + [special_value(0, a, z).real])
     roots = []
     prev = None
